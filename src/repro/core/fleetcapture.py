@@ -1,33 +1,21 @@
-"""Fleet-vectorized power-on capture: one broadcast for a whole tray.
+"""Fleet capture: measure a whole tray with one call of the capture engine.
 
 The paper's §5.3 fleet workflow measures every device with the same
 protocol — N drained power cycles, majority vote, channel error against
-the staged payload.  Measuring a tray device-by-device leaves throughput
-bounded by single-device kernel launches; this module evaluates the whole
-tray as **one** numpy broadcast over ``devices x band-cells x captures``
-instead:
+the staged payload.  :func:`capture_fleet` is the tray orchestration around
+the engine in :mod:`repro.sram.array`: every board plans its burst
+(:meth:`ControlBoard.plan_fleet_capture`), :func:`~repro.sram.array.run_bursts`
+evaluates all planned slots in one kernel call with each device's noise
+drawn from its own generator, and each slot is voted and scored.  Results
+are bit-identical to measuring the boards one by one, for any worker
+count, device order or tray composition.  Slots the engine cannot plan — a
+fault injector is attached, or remanence could reach the first capture —
+are sequenced by the board's power-on/read/power-off loop.
 
-- Each eligible array stages a *stacking record*
-  (:meth:`~repro.sram.array.SRAMArray.plan_fleet_capture`): its cached
-  noise-band arrays, noise sigma, and both inverters' per-capture
-  ``pending_relax`` trajectories.  Per-device noise bands are ragged, so
-  the kernel concatenates them into one flat gather; per-capture pending
-  relax and per-device sigma broadcast over the flat axis.
-- Band noise is drawn from **each device's own generator** — one
-  ``(n_captures, band)`` block per device, which consumes the stream
-  exactly like the per-capture loop's successive draws — so results are
-  bit-identical to :meth:`ControlBoard.capture_power_on_states` for any
-  worker count, device order, or tray composition.
-- Slots the kernel cannot take — a fault injector is attached, remanence
-  could reach the first capture, or the drift bound cannot guarantee a
-  refresh-free burst — fall back to the exact per-capture loop, which is
-  bit-identical by construction.
-
-Bit-identity against the device loop is enforced by the
-``fleet.capture_vs_device_loop`` oracle (``repro verify``) plus a planted
-mutant; throughput is gated by ``fleet_capture_speedup`` in
-``BENCH_substrate.json`` (>= 10x over the naive per-device loop on the
-8-device x 64 KiB x 5-capture tray).
+The ``fleet.capture_vs_device_loop`` oracle (``repro verify``) pins the
+tray against the scalar reference in :mod:`repro.verify.reference`;
+``fleet_capture_speedup`` in ``BENCH_substrate.json`` gates throughput
+(>= 10x over the naive per-device loop, 8 devices x 64 KiB x 5 captures).
 """
 
 from __future__ import annotations
@@ -36,22 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import metrics, telemetry
+from .. import telemetry
 from ..bitutils import bit_error_rate, invert_bits, majority_vote
 from ..errors import ConfigurationError, SlotError
-
-# Shared (get-or-create) with the board and array capture paths; a device
-# measured through the fleet kernel ticks the same instruments it would
-# have through its own board loop.
-_CAPTURES_TOTAL = metrics.counter(
-    "repro_captures_total",
-    "Power-on captures taken through a control board, by device",
-    labelnames=("device",),
-)
-_CAPTURE_CELLS_TOTAL = metrics.counter(
-    "repro_capture_cells_total",
-    "Cells evaluated across all power-on captures",
-)
+from ..sram import array as _engine
 
 __all__ = ["FleetCapture", "capture_fleet"]
 
@@ -65,8 +41,8 @@ class FleetCapture:
     when no payloads were given); ``frames`` the full
     ``(n_captures, n_bits)`` capture stacks (on request only — the
     measurement path never materializes them).  ``vectorized[i]`` says
-    whether slot ``i`` took the stacked kernel or the exact per-capture
-    loop; in resilient mode a failed slot carries its exception in
+    whether slot ``i`` ran in the capture engine's tray call or was
+    sequenced by its board's loop; in resilient mode a failed slot carries its exception in
     ``slot_errors[i]`` with ``states``/``errors`` entries of ``None``.
     """
 
@@ -80,88 +56,7 @@ class FleetCapture:
 
     @property
     def kernel_slots(self) -> int:
-        return sum(1 for v in self.vectorized if v)
-
-    @property
-    def fallback_slots(self) -> int:
-        return len(self.vectorized) - self.kernel_slots
-
-
-def _plan_slot(board, n_captures: int, off_seconds: float) -> "dict | None":
-    """Stage one slot's stacking record (see
-    :meth:`ControlBoard.plan_fleet_capture`)."""
-    return board.plan_fleet_capture(n_captures, off_seconds)
-
-
-def _loop_slot(board, n_captures: int, off_seconds: float) -> np.ndarray:
-    """The exact per-capture fallback for one slot.
-
-    Reads retry under the board's own policy, exactly as a direct
-    :meth:`ControlBoard.capture_power_on_states` call would.
-    """
-    return board.capture_power_on_states(n_captures, off_seconds=off_seconds)
-
-
-def _segment_recs(plan: dict, pend_key: str, r_key: str) -> np.ndarray:
-    """One device's ``(n_captures, band)`` recovered fractions.
-
-    Relax clocks take few distinct values on a tray (a shared stress
-    period leaves two: stressed-at-0 and never-stressed), so the
-    ``log1p`` is evaluated once per *unique* relax value per capture and
-    the per-cell array is assembled by selection — the selected doubles
-    are the exact ones elementwise evaluation would produce, so
-    bit-identity with :meth:`SRAMArray._band_decisions` is preserved.
-    The unique decomposition is memoised on the capture cache (computed
-    once per refresh).
-    """
-    cache = plan["cache"]
-    r = cache[r_key]
-    pends = np.array(plan[pend_key])
-    tau, coeff, ceiling = plan["tau"], plan["coeff"], plan["ceiling"]
-    u = cache.get(r_key + "_u")
-    if u is None:
-        u, inverse = np.unique(r, return_inverse=True)
-        cache[r_key + "_u"] = u
-        cache[r_key + "_inv"] = inverse
-    inverse = cache[r_key + "_inv"]
-    if u.size <= max(64, r.size // 8):
-        vals = np.minimum(
-            coeff * np.log1p((u[None, :] + pends[:, None]) / tau), ceiling
-        )
-        return np.take(vals, inverse, axis=1)
-    rp = r[None, :] + pends[:, None]
-    return np.minimum(coeff * np.log1p(rp / tau), ceiling)
-
-
-def _stacked_decisions(plans: "list[dict]", noise: np.ndarray) -> np.ndarray:
-    """Evaluate every planned slot's band decisions over one flat axis.
-
-    ``noise`` is the concatenated ``(n_captures, total_band)`` gather of
-    every device's own draws; each device's segment of the output is
-    evaluated with :meth:`SRAMArray._band_decisions`'s exact operation
-    tree (per-device scalars broadcast over the segment — elementwise
-    the same IEEE doubles as the per-capture loop's), with the recovery
-    ``log1p`` compressed over unique relax values by :func:`_segment_recs`.
-    """
-    n_captures = noise.shape[0]
-    decisions = np.empty(noise.shape, dtype=np.uint8)
-    column = 0
-    for plan in plans:
-        cache = plan["cache"]
-        size = cache["band"].size
-        segment = noise[:, column : column + size]
-        rec1 = _segment_recs(plan, "pend1", "r1_b")
-        rec0 = _segment_recs(plan, "pend0", "r0_b")
-        offs = (
-            cache["mismatch_b"]
-            + cache["full0_b"] * (1.0 - rec0)
-            - cache["full1_b"] * (1.0 - rec1)
-        )
-        decisions[:, column : column + size] = (
-            offs + plan["sigma"] * segment > 0.0
-        )
-        column += size
-    return decisions
+        return sum(self.vectorized)
 
 
 def capture_fleet(
@@ -174,7 +69,7 @@ def capture_fleet(
     resilient: bool = False,
     retry=None,
 ) -> FleetCapture:
-    """Measure a tray of boards' power-on behaviour in one stacked pass.
+    """Measure a tray of boards' power-on behaviour in one engine call.
 
     For every board: take ``n_captures`` drained power cycles, majority
     vote, and (when ``payloads`` are given) compute the channel error
@@ -182,21 +77,14 @@ def capture_fleet(
     :meth:`ControlBoard.majority_power_on_state` per board, in any order.
 
     ``retry`` wraps each *fallback* slot's whole capture loop (the
-    resilient rack semantics); kernel slots have no transient failure
+    resilient rack semantics); engine slots have no transient failure
     modes, so they always count one attempt.  ``resilient=True`` records
     a failing slot's exception in :attr:`FleetCapture.slot_errors`
     instead of raising; otherwise the first failure raises a
     :class:`~repro.errors.SlotError` naming the slot.
     """
     boards = list(boards)
-    if not isinstance(n_captures, (int, np.integer)) or isinstance(
-        n_captures, bool
-    ):
-        raise ConfigurationError(
-            f"n_captures must be an integer, got {n_captures!r}"
-        )
-    if n_captures < 1:
-        raise ConfigurationError(f"need at least one capture, got {n_captures}")
+    n_captures = _engine.check_capture_count(n_captures)
     if n_captures % 2 == 0:
         raise ConfigurationError(
             "use an odd number of captures so majority voting cannot tie"
@@ -210,10 +98,9 @@ def capture_fleet(
     states: "list[np.ndarray | None]" = [None] * n_slots
     frames: "list[np.ndarray | None]" = [None] * n_slots
     errors: "list[float | None]" = [None] * n_slots
-    plans: "list[dict | None]" = [None] * n_slots
+    bursts: list = [None] * n_slots
     attempts = [1] * n_slots
     slot_errors: "list[Exception | None]" = [None] * n_slots
-    vectorized = [False] * n_slots
 
     def record_failure(index: int, exc: Exception) -> None:
         if resilient:
@@ -233,97 +120,46 @@ def capture_fleet(
     ) as span:
         for index, board in enumerate(boards):
             try:
-                plans[index] = _plan_slot(board, n_captures, off_seconds)
+                bursts[index] = board.plan_fleet_capture(n_captures, off_seconds)
             except Exception as exc:
                 record_failure(index, exc)
 
-        kernel = [i for i in range(n_slots) if plans[i] is not None]
-        if kernel:
-            kernel_plans = [plans[i] for i in kernel]
-            # Per-device noise from each device's own generator: one
-            # (n_captures, band) block per device consumes the stream
-            # exactly like the loop's successive per-capture draws.
-            blocks = [
-                boards[i].device.sram._rng.standard_normal(
-                    (n_captures, plans[i]["cache"]["band"].size)
-                )
-                for i in kernel
-                if plans[i]["cache"]["band"].size
-            ]
-            if blocks:
-                noise = np.concatenate(blocks, axis=1)
-                decisions = _stacked_decisions(
-                    [p for p in kernel_plans if p["cache"]["band"].size],
-                    noise,
-                )
-            else:
-                decisions = np.empty((n_captures, 0), dtype=np.uint8)
-            column = 0
-            for i in kernel:
-                plan = plans[i]
-                cache = plan["cache"]
-                band = cache["band"]
-                dev_dec = decisions[:, column : column + band.size]
-                column += band.size
-                state = cache["decision_base"].copy()
-                if band.size:
-                    votes = dev_dec.sum(axis=0, dtype=np.int64)
-                    state[band] = (2 * votes >= n_captures).astype(np.uint8)
-                states[i] = state
+        vectorized = [burst is not None for burst in bursts]
+        _engine.run_bursts([burst for burst in bursts if burst is not None])
+        for i, burst in enumerate(bursts):
+            if burst is not None:
+                states[i] = burst.majority()
                 if return_frames:
-                    stack = np.broadcast_to(
-                        cache["decision_base"],
-                        (n_captures, cache["decision_base"].size),
-                    ).copy()
-                    if band.size:
-                        stack[:, band] = dev_dec
-                    frames[i] = stack
-                sram = boards[i].device.sram
-                sram.commit_fleet_capture(n_captures, off_seconds, band.size)
-                vectorized[i] = True
+                    frames[i] = burst.frames()
 
         for i in range(n_slots):
             if vectorized[i] or slot_errors[i] is not None:
                 continue
-            count = [0]
+            attempts[i] = 0
 
-            def one_loop(board=boards[i]):
-                count[0] += 1
-                return _loop_slot(board, n_captures, off_seconds)
+            def one_loop(board=boards[i], i=i):
+                attempts[i] += 1
+                return board.capture_power_on_states(
+                    n_captures, off_seconds=off_seconds
+                )
 
             try:
-                if retry is not None and retry.max_attempts > 1:
-                    stack = retry.call(one_loop)
-                else:
-                    stack = one_loop()
+                stack = retry.call(one_loop) if retry is not None else one_loop()
             except Exception as exc:
-                attempts[i] = count[0]
                 record_failure(i, exc)
                 continue
-            attempts[i] = count[0]
             states[i] = majority_vote(stack)
             if return_frames:
                 frames[i] = stack
 
         per_device_ber = []
         for i in range(n_slots):
-            if states[i] is None:
-                continue
-            board = boards[i]
-            name = board.device.spec.name
-            if vectorized[i]:
-                # Fallback slots already ticked these inside
-                # capture_power_on_states; kernel slots tick here.
-                _CAPTURES_TOTAL.inc(n_captures, device=name)
-                _CAPTURE_CELLS_TOTAL.inc(n_captures * board.device.sram.n_bits)
-            if payloads is not None:
-                errors[i] = bit_error_rate(
-                    payloads[i], invert_bits(states[i])
-                )
-                per_device_ber.append([name, errors[i]])
+            if states[i] is not None and payloads is not None:
+                errors[i] = bit_error_rate(payloads[i], invert_bits(states[i]))
+                per_device_ber.append([boards[i].device.spec.name, errors[i]])
 
         span.set(
-            vectorized=sum(1 for v in vectorized if v),
+            vectorized=sum(vectorized),
             fallbacks=sum(
                 1
                 for i in range(n_slots)
@@ -334,11 +170,8 @@ def capture_fleet(
         if per_device_ber:
             span.set(ber=per_device_ber)
         # Fallback slots fold their own board.captures via the nested
-        # board.capture span; count only the kernel slots here.
-        span.count(
-            "board.captures",
-            n_captures * sum(1 for v in vectorized if v),
-        )
+        # board.capture span; count only the engine slots here.
+        span.count("board.captures", n_captures * sum(vectorized))
 
     return FleetCapture(
         states=states,

@@ -10,31 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import metrics, telemetry
+from .. import telemetry
 from ..bitutils import Captures, as_bit_array, bits_to_bytes, majority_vote
 from ..device.debugport import DebugPort
 from ..device.device import Device
 from ..errors import CapacityError, ConfigurationError, DeviceError
 from ..faults import FaultInjector, RetryPolicy, plan_from_env
 from ..isa.programs import camouflage_program, payload_writer_program, retention_program
+from ..sram.array import CaptureBurst, check_capture_count, run_bursts
 from ..units import hours, kelvin_to_celsius
 from .power import PowerSupply
 from .thermal import ThermalChamber
-
-#: Direct hot-path instrument: one attribute test while metrics stay
-#: disabled (same contract as the telemetry null-span, docs/metrics.md).
-_CAPTURES_TOTAL = metrics.counter(
-    "repro_captures_total",
-    "Power-on captures taken through a control board, by device",
-    labelnames=("device",),
-)
-# Shared (get-or-create) with the array's batch path; the two capture
-# loops are disjoint, so the total never double-counts.
-_CAPTURE_CELLS_TOTAL = metrics.counter(
-    "repro_capture_cells_total",
-    "Cells evaluated across all power-on captures",
-)
-
 
 class ControlBoard:
     """Automation harness wired to a single target device.
@@ -289,19 +275,12 @@ class ControlBoard:
         Returns :data:`~repro.bitutils.Captures` — shape
         ``(n_captures, n_bits)``, dtype ``uint8`` — the same convention
         as :meth:`InvisibleBits.capture_samples` and
-        :func:`repro.io.load_captures`.  ``retry`` overrides the board's
-        default policy for transient read failures (``None`` keeps it).
+        :func:`repro.io.load_captures`.  One capture-engine burst, unless
+        a fault injector or pending remanence must interleave with the
+        captures: then power-on/read/power-off is sequenced, and ``retry``
+        (``None`` keeps the board's policy) guards each read.
         """
-        if not isinstance(n_captures, (int, np.integer)) or isinstance(
-            n_captures, bool
-        ):
-            raise ConfigurationError(
-                f"n_captures must be an integer, got {n_captures!r}"
-            )
-        if n_captures < 1:
-            raise ConfigurationError(
-                f"need at least one capture, got {n_captures}"
-            )
+        n_captures = check_capture_count(n_captures)
         retry = self.retry if retry is None else retry
         with telemetry.trace(
             "board.capture",
@@ -309,24 +288,20 @@ class ControlBoard:
             n_captures=n_captures,
             off_seconds=off_seconds,
         ) as span:
-            if self.device.powered:
-                self.power_off()
-            self.device.load_firmware(retention_program())
-            samples = np.empty(
-                (n_captures, self.device.sram.n_bits), dtype=np.uint8
-            )
-            stats_before = dict(self.device.sram.capture_stats)
-            for i in range(n_captures):
-                self.power_on_nominal()
-                samples[i] = self._read_capture(retry)
-                self.power_off()
-                self.device.advance(off_seconds)
+            burst = self.plan_fleet_capture(n_captures, off_seconds)
+            if burst is not None:
+                run_bursts([burst])
+                samples = burst.frames()
+            else:
+                samples = np.empty(
+                    (n_captures, self.device.sram.n_bits), dtype=np.uint8
+                )
+                for i in range(n_captures):
+                    self.power_on_nominal()
+                    samples[i] = self._read_capture(retry)
+                    self.power_off()
+                    self.device.advance(off_seconds)
             span.count("board.captures", n_captures)
-            _CAPTURES_TOTAL.inc(n_captures, device=self.device.spec.name)
-            _CAPTURE_CELLS_TOTAL.inc(n_captures * self.device.sram.n_bits)
-            stats = self.device.sram.capture_stats
-            for key in ("band_cells", "cache_refreshes"):
-                span.count(f"sram.{key}", stats[key] - stats_before[key])
             return samples
 
     def majority_power_on_state(
@@ -343,16 +318,14 @@ class ControlBoard:
 
     def plan_fleet_capture(
         self, n_captures: int, off_seconds: float = 1.0
-    ) -> "dict | None":
-        """Stage this board's slice of a fleet-stacked capture burst.
+    ) -> "CaptureBurst | None":
+        """Power down, flash the retention program, and plan this board's
+        capture burst at the rail the next power-on would apply (see
+        :meth:`SRAMArray.plan_fleet_capture`).
 
-        Runs the exact preamble of :meth:`capture_power_on_states` —
-        power down, flash the retention program — then asks the array
-        for its stacking record at the rail the next power-on would
-        apply (see :meth:`SRAMArray.plan_fleet_capture`).  Returns
-        ``None`` when only the per-capture loop can measure this slot: a
-        fault injector is attached (injected faults interleave with the
-        per-capture reads), or the array itself declines the burst.
+        Returns ``None`` when only the sequenced loop can measure this
+        board: a fault injector is attached (injected faults interleave
+        with the per-capture reads), or the array declines the burst.
         """
         if self.device.powered:
             self.power_off()

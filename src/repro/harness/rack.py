@@ -311,12 +311,12 @@ class EncodingRack:
     ) -> "list[float] | list[SlotResult]":
         """Per-slot channel error against the staged payloads.
 
-        Measurement routes through the fleet-vectorized capture kernel
-        (:func:`repro.core.fleetcapture.capture_fleet`): eligible slots
-        are evaluated as one stacked ``devices x band-cells x captures``
-        broadcast, bit-identical to the per-board loop; slots the kernel
-        cannot take (fault injector attached, remanence pending, drift
-        bound exceeded) run the exact per-capture loop instead.
+        Measurement routes through
+        :func:`repro.core.fleetcapture.capture_fleet`: eligible slots run
+        in one call of the capture engine, bit-identical to measuring the
+        boards one by one; slots the engine cannot plan (fault injector
+        attached, remanence pending) are sequenced by their board's
+        power-on/read/power-off loop instead.
 
         ``resilient=True`` returns :class:`SlotResult` s (``value`` is the
         error rate) so one dead slot yields a partial tray measurement

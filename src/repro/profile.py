@@ -66,6 +66,9 @@ _IDLE_LEAVES = {
     ("socket", "accept"),
     ("socket", "recv"),
     ("socket", "recv_into"),
+    # A parked executor worker blocks in the C-level SimpleQueue.get, so
+    # its loop function is the leaf Python frame.
+    ("concurrent.futures.thread", "_worker"),
 }
 
 _MAX_DEPTH = 64

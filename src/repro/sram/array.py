@@ -19,52 +19,75 @@ lets aging recover), and :meth:`operate` (powered, running a write workload).
 Capture engine
 --------------
 
-The receiver's hot path is §4.3's power-cycle/majority-vote loop, so the
-array keeps two cache layers keyed on the aging state:
+Every power-on sample — :meth:`SRAMArray.apply_power` (one capture), an
+array or control-board burst, a whole tray from
+:func:`repro.core.fleetcapture.capture_fleet` — takes three steps:
 
-- The noise-free :meth:`offsets` vector is memoised and recomputed only when
-  an aging event (``hold``/``operate``/``shelve``/external state mutation)
-  changes it — repeated analysis reads are one cached-vector copy.
-- Power-on sampling works from a *capture cache*: the expensive power-law
-  ``k * t^n`` terms of both inverters plus a **noise band** — the cells whose
-  offset lies within ``NOISE_TAIL_SIGMA`` noise sigmas of the decision
-  threshold.  Cells outside the band power on to ``sign(offset)`` (the
-  probability of a Gaussian draw beyond 8 sigma is ~6e-16, far below any
-  observable error-rate resolution); only the band is re-evaluated per
-  capture, with the exact logarithmic-recovery increment applied to its
-  relax clocks.
+1. **Plan** (:meth:`SRAMArray._plan_burst`): walk the burst's shelf gaps
+   as the per-capture loop would, recording each capture's deferred relax
+   time and refreshing the *capture cache* wherever that loop would.  The
+   cache holds both inverters' ``k * t^n`` terms for the **noise band**:
+   cells whose offset lies within ``NOISE_TAIL_SIGMA`` noise sigmas of the
+   threshold.  The rest power on to ``sign(offset)`` (a draw beyond 8
+   sigma has probability ~6e-16).
+2. **Draw** (:func:`run_bursts`): band noise from each array's own
+   generator, one ``(captures, band)`` block per cache segment — the
+   stream per-capture draws would consume.
+3. **Decide** (:func:`stacked_band_decisions`): the one kernel turning
+   cached terms, sigma, relax trajectory and noise into bits, for any
+   number of arrays in one call.
 
-Shelf gaps between captures are uniform across cells, so they are deferred
-as one scalar (:meth:`repro.physics.nbti.NBTIState.flush_relax`) instead of
-a full-array add.  A rigorous drift bound (the recovery increment is largest
-for the least-relaxed cell) decides when accumulated shelf time has moved
-out-of-band offsets enough to force a cache refresh, so arbitrarily long
-capture sequences stay correct.  Code that mutates aging state behind the
-array's back (e.g. snapshot restore) must call
-:meth:`invalidate_analog_caches`.
+The one cache builder also serves :meth:`SRAMArray.offsets`.  Shelf gaps
+are deferred as one scalar (:meth:`NBTIState.flush_relax`), and a drift
+bound decides when they force a refresh, so long bursts stay exact.  Code
+that mutates aging state behind the array's back (e.g. snapshot restore)
+must call :meth:`invalidate_analog_caches`.  The scalar per-capture loop
+the engine must match bit for bit is :mod:`repro.verify.reference`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import metrics, telemetry
 from ..errors import ConfigurationError, PowerError
-from ..bitutils import as_bit_array
+from ..bitutils import as_bit_array, majority_vote
 from ..physics.hci import HCIModel
 from ..physics.nbti import NBTIState
 from ..rng import make_rng
 from .remanence import RemanenceModel
 from .technology import TechnologyProfile
 
-#: Direct hot-path instrument: one attribute test while metrics stay
-#: disabled (same contract as the telemetry null-span, docs/metrics.md).
+#: The capture counters, ticked once per burst by :func:`run_bursts` — the
+#: only place power-on samples are taken.  Direct hot-path instruments: one
+#: attribute test while metrics stay disabled (docs/metrics.md).
+_CAPTURES_TOTAL = metrics.counter(
+    "repro_captures_total",
+    "Power-on states sampled, by device",
+    labelnames=("device",),
+)
 _CAPTURE_CELLS_TOTAL = metrics.counter(
     "repro_capture_cells_total",
     "Cells evaluated across all power-on captures",
 )
+
+
+def check_capture_count(n_captures) -> int:
+    """The capture-count rule every capture entry point shares: a
+    positive integer (``bool`` is rejected, not read as 0/1)."""
+    if not isinstance(n_captures, (int, np.integer)) or isinstance(
+        n_captures, bool
+    ):
+        raise ConfigurationError(
+            f"n_captures must be an integer, got {n_captures!r}"
+        )
+    if n_captures < 1:
+        raise ConfigurationError(f"need at least one capture, got {n_captures}")
+    return int(n_captures)
 
 
 def _locked_shift(nbti, stress_seconds: np.ndarray) -> np.ndarray:
@@ -105,6 +128,145 @@ def _recovered_fraction(nbti, relax_seconds: np.ndarray):
         nbti.rec_log_coeff * np.log1p(relax_seconds / nbti.rec_tau_s),
         nbti.rec_ceiling,
     )
+
+
+class _Segment(NamedTuple):
+    """Consecutive captures of one burst that share a capture cache."""
+
+    cache: dict
+    sigma: float
+    nbti: object
+    pend1: list
+    pend0: list
+
+
+def _recovered_rows(seg: _Segment, pends: list, r_key: str):
+    """Yield each capture's band recovered fractions, one row at a time
+    (band-sized temporaries stay in cache; a whole burst's would not).
+
+    Relax clocks take few distinct values (a shared stress period leaves
+    two: stressed-at-0 and never-stressed), so the ``log1p`` is evaluated
+    once per *unique* relax value per capture and the row is assembled by
+    selection — the selected doubles are exactly the ones elementwise
+    evaluation produces.  The unique decomposition is memoised on the
+    capture cache (computed once per refresh).
+    """
+    cache, nbti = seg.cache, seg.nbti
+    r = cache[r_key]
+    tau, coeff, ceiling = nbti.rec_tau_s, nbti.rec_log_coeff, nbti.rec_ceiling
+    u = cache.get(r_key + "_u")
+    if u is None:
+        u, inverse = np.unique(r, return_inverse=True)
+        cache[r_key + "_u"] = u
+        cache[r_key + "_inv"] = inverse
+    if u.size <= max(64, r.size // 8):
+        vals = np.minimum(
+            coeff * np.log1p((u[None, :] + np.array(pends)[:, None]) / tau), ceiling
+        )
+        for row in vals:
+            yield row[cache[r_key + "_inv"]]
+    else:
+        for p in pends:
+            yield np.minimum(coeff * np.log1p((r + p) / tau), ceiling)
+
+
+def stacked_band_decisions(
+    segments: "list[_Segment]", noise: "list[np.ndarray]"
+) -> "list[np.ndarray]":
+    """The capture kernel: noise-band power-on decisions for every segment.
+
+    ``noise[i]`` is segment ``i``'s ``(captures, band)`` block.  Each
+    band cell's offset is re-evaluated at that capture's relax time with
+    the same operation tree :meth:`SRAMArray.offsets` uses, and the cell
+    powers on to 1 when ``offset + sigma * noise > 0``.  Segments of any
+    number of arrays evaluate in one call; this is the only code in the
+    package that turns analog state into power-on bits.
+    """
+    decisions = []
+    for seg, block in zip(segments, noise):
+        cache = seg.cache
+        out = np.empty(block.shape, dtype=bool)
+        rows = zip(
+            _recovered_rows(seg, seg.pend1, "r1_b"),
+            _recovered_rows(seg, seg.pend0, "r0_b"),
+            block,
+            out,
+        )
+        for rec1, rec0, z, dec in rows:
+            offs = (
+                cache["mismatch_b"]
+                + cache["full0_b"] * (1.0 - rec0)
+                - cache["full1_b"] * (1.0 - rec1)
+            )
+            np.greater(offs + seg.sigma * z, 0.0, out=dec)
+        decisions.append(out)
+    return decisions
+
+
+@dataclass
+class CaptureBurst:
+    """One array's planned burst of ``n_captures`` power-on samples.
+
+    Built by :meth:`SRAMArray._plan_burst` (which has already advanced
+    the array's relax clocks through the burst) and filled by
+    :func:`run_bursts`; then :meth:`frames` or :meth:`majority` read it.
+    """
+
+    array: "SRAMArray"
+    n_captures: int
+    segments: "list[_Segment]"
+    decisions: "list[np.ndarray] | None" = None
+
+    def frames(self, out: "np.ndarray | None" = None) -> np.ndarray:
+        """The ``(n_captures, n_bits)`` capture stack."""
+        if out is None:
+            out = np.empty((self.n_captures, self.array.n_bits), dtype=np.uint8)
+        rows = iter(out)
+        for seg, dec in zip(self.segments, self.decisions):
+            for row_dec, row in zip(dec, rows):  # dec first: zip stops on it
+                row[...] = seg.cache["decision_base"]
+                row[seg.cache["band"]] = row_dec
+        return out
+
+    def majority(self) -> np.ndarray:
+        """The majority-voted state, without materialising the frames
+        when one cache covers the whole burst."""
+        if len(self.segments) > 1:
+            return majority_vote(self.frames())
+        seg, dec = self.segments[0], self.decisions[0]
+        state = seg.cache["decision_base"].copy()
+        votes = dec.sum(axis=0, dtype=np.int64)
+        state[seg.cache["band"]] = 2 * votes >= self.n_captures
+        return state
+
+
+def run_bursts(bursts: "list[CaptureBurst]") -> None:
+    """Draw every burst's noise, decide all of them in one kernel call,
+    and account the captures.
+
+    Each array's noise comes from its own generator, one block per
+    segment in capture order, so the stream is the one per-capture
+    draws would consume — results do not depend on which other arrays
+    share the call.
+    """
+    segments = [seg for burst in bursts for seg in burst.segments]
+    noise = [
+        burst.array._rng.standard_normal((len(seg.pend1), seg.cache["band"].size))
+        for burst in bursts
+        for seg in burst.segments
+    ]
+    decisions = iter(stacked_band_decisions(segments, noise))
+    span = telemetry.current_span()
+    for burst in bursts:
+        burst.decisions = [next(decisions) for _ in burst.segments]
+        array, n = burst.array, burst.n_captures
+        band_cells = sum(len(s.pend1) * s.cache["band"].size for s in burst.segments)
+        array.capture_stats["captures"] += n
+        array.capture_stats["band_cells"] += band_cells
+        span.count("sram.captures", n)
+        span.count("sram.band_cells", band_cells)
+        _CAPTURES_TOTAL.inc(n, device=array.technology.name)
+        _CAPTURE_CELLS_TOTAL.inc(n * array.n_bits)
 
 
 class SRAMArray:
@@ -185,15 +347,10 @@ class SRAMArray:
         self._offsets_cache: "tuple | None" = None
         self._capture_cache: "dict | None" = None
 
-        #: Cheap always-on counters the telemetry layer snapshots around
-        #: capture bursts: power-on samples taken, noise-band cells
-        #: re-evaluated, and capture-cache rebuilds.  Plain int bumps —
-        #: microseconds against millisecond-scale captures.
-        self.capture_stats = {
-            "captures": 0,
-            "band_cells": 0,
-            "cache_refreshes": 0,
-        }
+        #: Always-on counters of this array's engine work (the same values
+        #: the engine adds to the enclosing span as ``sram.*``): power-on
+        #: samples taken, noise-band cells evaluated, cache rebuilds.
+        self.capture_stats = {"captures": 0, "band_cells": 0, "cache_refreshes": 0}
 
     # -- construction helpers --------------------------------------------------
 
@@ -238,17 +395,17 @@ class SRAMArray:
     def apply_power(self, vdd: "float | None" = None) -> np.ndarray:
         """Power the array up and return a copy of its power-on state.
 
-        Cells whose charge survived the power gap (see
-        :class:`RemanenceModel`) return their previous value instead of the
-        true power-on state — the effect the paper's harness eliminates by
-        draining the rail.
+        The state is a one-capture burst of the capture engine.  Cells
+        whose charge survived the power gap (see :class:`RemanenceModel`)
+        return their previous value instead of the true power-on state —
+        the effect the paper's harness eliminates by draining the rail.
         """
         if self.powered:
             raise PowerError("array is already powered")
         vdd = self.technology.vdd_nominal if vdd is None else float(vdd)
-        self.technology.check_operating_point(vdd, self.temp_k)
-
-        state = self._sample_power_on()
+        burst = self._plan_burst(1, 0.0, vdd, gap_first=False)
+        run_bursts([burst])
+        state = burst.frames()[0]
         if self._retained is not None:
             keep = self._remanence.retained_mask(
                 self.n_bits, self._off_seconds, self.temp_k, self._rng
@@ -296,41 +453,39 @@ class SRAMArray:
         """Capture ``n_captures`` successive power-on states (§4.3's
         sampling loop); returns shape ``(n_captures, n_bits)``.
 
-        Drained captures run on the batch path: one capture-cache pass plus
-        a single ``(n_captures, band)`` noise draw.  The result is
-        bit-identical to calling :meth:`power_cycle` ``n_captures`` times —
-        one big Gaussian draw consumes the generator exactly like the
-        equivalent sequence of per-capture draws.  Undrained captures (and a
-        first capture that can still see remanence) fall back to the cycle
-        path because the retained-cell masks interleave with the noise
-        stream.
+        Bit-identical to calling :meth:`power_cycle` ``n_captures`` times.
+        Drained captures are one engine burst.  Undrained captures (and a
+        first capture that can still see remanence) are sequenced one
+        :meth:`power_cycle` at a time, because the retained-cell masks
+        interleave with the noise stream.
         """
-        if n_captures <= 0:
-            raise ConfigurationError(f"need at least one capture, got {n_captures}")
+        n_captures = check_capture_count(n_captures)
         with telemetry.trace(
             "sram.capture",
             n_bits=self.n_bits,
             n_captures=n_captures,
             drain=drain,
-        ) as span:
-            stats_before = dict(self.capture_stats)
+        ):
             samples = np.empty((n_captures, self.n_bits), dtype=np.uint8)
             start = 0
-            if drain and self._retained is not None:
-                # Remanence from an earlier undrained power-off reaches into
-                # the first capture only; take it the general way, then batch.
-                samples[0] = self.power_cycle(off_seconds=off_seconds, drain=True)
-                start = 1
-            if drain:
-                self._capture_batch_drained(samples, start, off_seconds)
-            else:
-                for i in range(start, n_captures):
+            if not drain or self._retained is not None:
+                start = n_captures if not drain else 1
+                for i in range(start):
                     samples[i] = self.power_cycle(
-                        off_seconds=off_seconds, drain=False
+                        off_seconds=off_seconds, drain=drain
                     )
-            for key, before in stats_before.items():
-                span.count(f"sram.{key}", self.capture_stats[key] - before)
-            _CAPTURE_CELLS_TOTAL.inc(n_captures * self.n_bits)
+            if start < n_captures:
+                if self.powered:
+                    self.remove_power(drain=True)
+                vdd = self.technology.vdd_nominal
+                burst = self._plan_burst(
+                    n_captures - start, off_seconds, vdd, gap_first=True
+                )
+                run_bursts([burst])
+                burst.frames(out=samples[start:])
+                self.powered = True
+                self.vdd = vdd
+                self._data = samples[-1].copy()
             return samples
 
     # -- memory operations ----------------------------------------------------
@@ -503,16 +658,9 @@ class SRAMArray:
     def _exact_offsets(self) -> np.ndarray:
         """The offsets vector, memoised; callers must not mutate it."""
         cached = self._offsets_cache
-        if cached is not None and cached[0] == self._aging_key():
-            return cached[1]
-        vec = (
-            self.mismatch
-            + self._nbti.dvth(self.age_when_0)
-            - self._nbti.dvth(self.age_when_1)
-        )
-        # dvth() flushed any deferred relax; key on the post-flush state.
-        self._offsets_cache = (self._aging_key(), vec)
-        return vec
+        if cached is None or cached[0] != self._aging_key():
+            self._refresh_capture_cache(self._effective_noise_sigma())
+        return self._offsets_cache[1]
 
     def _effective_noise_sigma(self) -> float:
         sigma = self._hci.noise_widening(
@@ -523,180 +671,16 @@ class SRAMArray:
         return sigma * float(np.sqrt(self.temp_k / self.technology.temp_nominal_k))
 
     def _refresh_capture_cache(self, sigma: float) -> dict:
-        """Rebuild the sampling cache at the current (flushed) aging state."""
-        st1, st0 = self.age_when_1, self.age_when_0
-        st1.flush_relax()
-        st0.flush_relax()
-        offs = self._exact_offsets()
-        full1 = self._nbti.dvth_unrecovered(st1)
-        full0 = self._nbti.dvth_unrecovered(st0)
-        band = np.flatnonzero(np.abs(offs) < self.NOISE_TAIL_SIGMA * sigma)
-        self._capture_cache = {
-            "aging_epoch": self._aging_epoch,
-            "flushes": (st1.flushes, st0.flushes),
-            "sigma_ref": sigma,
-            "decision_base": (offs > 0.0).astype(np.uint8),
-            "band": band,
-            "mismatch_b": self.mismatch[band],
-            "full1_b": full1[band],
-            "full0_b": full0[band],
-            "r1_b": st1.relax_seconds[band],
-            "r0_b": st0.relax_seconds[band],
-            "r1_min": float(st1.relax_seconds.min()) if self.n_bits else 0.0,
-            "r0_min": float(st0.relax_seconds.min()) if self.n_bits else 0.0,
-            "full_max": float(full1.max()) + float(full0.max()),
-        }
-        self.capture_stats["cache_refreshes"] += 1
-        return self._capture_cache
+        """Rebuild the capture cache (and the offsets memo) at the current,
+        flushed aging state — the package's one cache builder.
 
-    def _capture_cache_valid(
-        self, cache: "dict | None", sigma: float, extra_relax: float = 0.0
-    ) -> bool:
-        """True when sampling may keep using ``cache``.
-
-        The cache was built at some flushed relax state; shelf time since
-        then only *adds* recovery.  The recovery increment ``c*(log1p((r+p)/
-        tau) - log1p(r/tau))`` is monotonically decreasing in ``r``, so the
-        worst-case out-of-band offset drift is bounded by the least-relaxed
-        cell's increment times the largest power-law magnitudes.  While that
-        bound stays under ``OFFSET_DRIFT_BUDGET`` noise sigmas, out-of-band
-        decisions cannot change (>7-sigma guard) and in-band cells — which
-        are recomputed exactly every capture — need no refresh either.
-        """
-        if cache is None or cache["aging_epoch"] != self._aging_epoch:
-            return False
-        st1, st0 = self.age_when_1, self.age_when_0
-        if (st1.flushes, st0.flushes) != cache["flushes"]:
-            return False
-        if sigma > cache["sigma_ref"] * (1.0 + 1e-12):
-            return False
-        if cache["full_max"] == 0.0:
-            return True  # unstressed cells have nothing to recover
-        nbti = self._nbti
-        tau = nbti.rec_tau_s
-        p1 = st1.pending_relax + extra_relax
-        p0 = st0.pending_relax + extra_relax
-        d1 = math.log1p((cache["r1_min"] + p1) / tau) - math.log1p(
-            cache["r1_min"] / tau
-        )
-        d0 = math.log1p((cache["r0_min"] + p0) / tau) - math.log1p(
-            cache["r0_min"] / tau
-        )
-        drift = nbti.rec_log_coeff * cache["full_max"] * max(d1, d0)
-        return drift <= self.OFFSET_DRIFT_BUDGET * sigma
-
-    def _band_decisions(
-        self, cache: dict, sigma: float, noise: np.ndarray
-    ) -> np.ndarray:
-        """Exact power-on decisions for the noise-band cells.
-
-        Applies the deferred recovery increment to the band's relax clocks
-        and re-evaluates the same offset expression :meth:`offsets` uses —
-        identical physics, restricted to the cells noise can actually flip.
-        """
-        nbti = self._nbti
-        tau = nbti.rec_tau_s
-        r1 = cache["r1_b"] + self.age_when_1.pending_relax
-        r0 = cache["r0_b"] + self.age_when_0.pending_relax
-        rec1 = np.minimum(nbti.rec_log_coeff * np.log1p(r1 / tau), nbti.rec_ceiling)
-        rec0 = np.minimum(nbti.rec_log_coeff * np.log1p(r0 / tau), nbti.rec_ceiling)
-        offs = (
-            cache["mismatch_b"]
-            + cache["full0_b"] * (1.0 - rec0)
-            - cache["full1_b"] * (1.0 - rec1)
-        )
-        return (offs + sigma * noise > 0.0).astype(np.uint8)
-
-    # -- internals -----------------------------------------------------------------
-
-    def _sample_power_on(self) -> np.ndarray:
-        sigma = self._effective_noise_sigma()
-        cache = self._capture_cache
-        if not self._capture_cache_valid(cache, sigma):
-            cache = self._refresh_capture_cache(sigma)
-        state = cache["decision_base"].copy()
-        band = cache["band"]
-        if band.size:
-            noise = self._rng.standard_normal(band.size)
-            state[band] = self._band_decisions(cache, sigma, noise)
-        stats = self.capture_stats
-        stats["captures"] += 1
-        stats["band_cells"] += int(band.size)
-        return state
-
-    def _capture_batch_drained(
-        self, samples: np.ndarray, start: int, off_seconds: float
-    ) -> None:
-        """Fill ``samples[start:]`` with drained power cycles.
-
-        Bit-identical to the equivalent :meth:`power_cycle` sequence: the
-        per-capture relax bookkeeping, cache-refresh schedule and noise
-        consumption are the same — the only difference is that once the
-        drift bound guarantees no mid-burst refresh, the remaining captures'
-        noise is drawn in a single ``(remaining, band)`` call.
-        """
-        n = samples.shape[0]
-        if start >= n:
-            return
-        vdd = self.technology.vdd_nominal
-        st1, st0 = self.age_when_1, self.age_when_0
-        nbti = self._nbti
-        noise_block: "np.ndarray | None" = None
-        block_row = 0
-        for i in range(start, n):
-            if self.powered:
-                self.remove_power(drain=True)
-            nbti.relax_uniform(st1, off_seconds)
-            nbti.relax_uniform(st0, off_seconds)
-            self.technology.check_operating_point(vdd, self.temp_k)
-            sigma = self._effective_noise_sigma()
-            cache = self._capture_cache
-            if not self._capture_cache_valid(cache, sigma):
-                cache = self._refresh_capture_cache(sigma)
-                noise_block, block_row = None, 0
-            band = cache["band"]
-            if (
-                noise_block is None
-                and band.size
-                and i < n - 1
-                and self._capture_cache_valid(
-                    cache, sigma, extra_relax=(n - 1 - i) * off_seconds
-                )
-            ):
-                # No refresh can occur for the rest of the burst: hoist the
-                # remaining captures' noise into one draw (stream-order
-                # identical to per-capture draws).
-                noise_block = self._rng.standard_normal((n - i, band.size))
-                block_row = 0
-            row = samples[i]
-            row[...] = cache["decision_base"]
-            if band.size:
-                if noise_block is not None:
-                    noise = noise_block[block_row]
-                    block_row += 1
-                else:
-                    noise = self._rng.standard_normal(band.size)
-                row[band] = self._band_decisions(cache, sigma, noise)
-            stats = self.capture_stats
-            stats["captures"] += 1
-            stats["band_cells"] += int(band.size)
-            self.powered = True
-            self.vdd = vdd
-        self._data = samples[n - 1].copy()
-
-    # -- fleet capture (repro.core.fleetcapture) --------------------------------
-
-    def _fleet_refresh_capture_cache(self, sigma: float) -> dict:
-        """Rebuild the capture cache with the fleet kernel's shared-term math.
-
-        Contents are bit-identical to :meth:`_refresh_capture_cache`: the
-        power-law magnitude ``k * t^n`` is evaluated once per inverter and
-        shared between the offsets and the locked-in values — the same
-        composition :meth:`NBTIModel.dvth` uses — zero-stress cells skip the
-        ``t^n`` ufunc (``0**n == 0`` exactly), and uniform relax clocks
-        collapse the recovered fraction to one scalar (the per-element
-        double operations are unchanged).  tests/sram/test_fleet_capture.py
-        pins the equality against the reference rebuild.
+        The power-law magnitude ``k * t^n`` is evaluated once per inverter
+        and shared between the offsets and the locked-in values — the same
+        composition :meth:`NBTIModel.dvth` uses — zero-stress cells skip
+        the ``t^n`` ufunc (``0**n == 0`` exactly), and uniform relax clocks
+        collapse the recovered fraction to one scalar; every double equals
+        the ``nbti.dvth`` form (tests/sram/test_fleet_capture.py pins it
+        against :func:`repro.verify.reference.reference_capture_cache`).
         """
         st1, st0 = self.age_when_1, self.age_when_0
         st1.flush_relax()
@@ -722,12 +706,83 @@ class SRAMArray:
             "full0_b": full0[band],
             "r1_b": st1.relax_seconds[band],
             "r0_b": st0.relax_seconds[band],
-            "r1_min": float(st1.relax_seconds.min()) if self.n_bits else 0.0,
-            "r0_min": float(st0.relax_seconds.min()) if self.n_bits else 0.0,
+            "r1_min": float(st1.relax_seconds.min()),
+            "r0_min": float(st0.relax_seconds.min()),
             "full_max": float(full1.max()) + float(full0.max()),
         }
         self.capture_stats["cache_refreshes"] += 1
+        telemetry.current_span().count("sram.cache_refreshes", 1)
         return self._capture_cache
+
+    def _capture_cache_valid(self, cache: "dict | None", sigma: float) -> bool:
+        """True when sampling may keep using ``cache``.
+
+        The cache was built at some flushed relax state; shelf time since
+        then only *adds* recovery.  The recovery increment ``c*(log1p((r+p)/
+        tau) - log1p(r/tau))`` is monotonically decreasing in ``r``, so the
+        worst-case out-of-band offset drift is bounded by the least-relaxed
+        cell's increment times the largest power-law magnitudes.  While that
+        bound stays under ``OFFSET_DRIFT_BUDGET`` noise sigmas, out-of-band
+        decisions cannot change (>7-sigma guard) and in-band cells — which
+        are recomputed exactly every capture — need no refresh either.
+        """
+        if cache is None or cache["aging_epoch"] != self._aging_epoch:
+            return False
+        st1, st0 = self.age_when_1, self.age_when_0
+        if (st1.flushes, st0.flushes) != cache["flushes"]:
+            return False
+        if sigma > cache["sigma_ref"] * (1.0 + 1e-12):
+            return False
+        if cache["full_max"] == 0.0:
+            return True  # unstressed cells have nothing to recover
+        nbti = self._nbti
+        tau = nbti.rec_tau_s
+        d1 = math.log1p((cache["r1_min"] + st1.pending_relax) / tau) - math.log1p(
+            cache["r1_min"] / tau
+        )
+        d0 = math.log1p((cache["r0_min"] + st0.pending_relax) / tau) - math.log1p(
+            cache["r0_min"] / tau
+        )
+        drift = nbti.rec_log_coeff * cache["full_max"] * max(d1, d0)
+        return drift <= self.OFFSET_DRIFT_BUDGET * sigma
+
+    # -- the capture engine (module docstring) ----------------------------------
+
+    def _plan_burst(
+        self, n_captures: int, off_seconds: float, vdd: float, *, gap_first: bool
+    ) -> CaptureBurst:
+        """Plan ``n_captures`` drained power-ups ``off_seconds`` apart.
+
+        Advances both recovery clocks through the burst — a deferred
+        ``off_seconds`` before each capture (``gap_first``, the
+        :meth:`power_cycle` order) or after each (the control board's
+        power-on/read/power-off/wait order) — records the deferred relax
+        every capture sees, and refreshes the capture cache at exactly the
+        captures where the per-capture loop would.  Captures sharing one
+        cache form a segment.
+        """
+        self.technology.check_operating_point(vdd, self.temp_k)
+        sigma = self._effective_noise_sigma()
+        st1, st0 = self.age_when_1, self.age_when_0
+        nbti = self._nbti
+        off = float(off_seconds)
+        lead, trail = (off, 0.0) if gap_first else (0.0, off)
+        segments: "list[_Segment]" = []
+        for _ in range(n_captures):
+            nbti.relax_uniform(st1, lead)
+            nbti.relax_uniform(st0, lead)
+            cache = self._capture_cache
+            if not self._capture_cache_valid(cache, sigma):
+                cache = self._refresh_capture_cache(sigma)
+            if not segments or segments[-1].cache is not cache:
+                segments.append(_Segment(cache, sigma, nbti, [], []))
+            segments[-1].pend1.append(st1.pending_relax)
+            segments[-1].pend0.append(st0.pending_relax)
+            nbti.relax_uniform(st1, trail)
+            nbti.relax_uniform(st0, trail)
+        if off and telemetry.active():
+            telemetry.count("physics.relax_seconds", n_captures * off)
+        return CaptureBurst(self, n_captures, segments)
 
     def plan_fleet_capture(
         self,
@@ -735,80 +790,19 @@ class SRAMArray:
         off_seconds: float = 1.0,
         *,
         vdd: "float | None" = None,
-    ) -> "dict | None":
-        """Stage this array's slice of a fleet-stacked capture burst.
+    ) -> "CaptureBurst | None":
+        """Plan this array's burst in the control board's order (capture,
+        then ``off_seconds`` unpowered) for :func:`run_bursts`.
 
-        Validates the operating point, performs the same capture-cache
-        refresh (and deferred-relax flush) the burst's first per-capture
-        loop iteration would, and — when the drift bound guarantees no
-        mid-burst refresh — returns the stacking record the fleet kernel
-        concatenates: the cached band arrays, the noise sigma, and both
-        inverters' per-capture ``pending_relax`` trajectories (accumulated
-        float-by-float exactly as ``n_captures`` deferred shelf gaps
-        would).  Returns ``None`` when the burst cannot be guaranteed
-        refresh-free, the array is powered, or remanence could reach the
-        first capture; callers then take the exact per-capture loop, which
-        is bit-identical either way.
+        Returns ``None`` when the array is powered or remanence could
+        reach the first capture; the caller then sequences power-ups one
+        at a time.
         """
-        if n_captures < 1:
-            raise ConfigurationError(
-                f"need at least one capture, got {n_captures}"
-            )
+        n_captures = check_capture_count(n_captures)
         if self.powered or self._retained is not None:
             return None
         vdd = self.technology.vdd_nominal if vdd is None else float(vdd)
-        self.technology.check_operating_point(vdd, self.temp_k)
-        off = float(off_seconds)
-        sigma = self._effective_noise_sigma()
-        cache = self._capture_cache
-        if not self._capture_cache_valid(cache, sigma):
-            cache = self._fleet_refresh_capture_cache(sigma)
-        if not self._capture_cache_valid(
-            cache, sigma, extra_relax=(n_captures - 1) * off
-        ):
-            return None
-        p1 = self.age_when_1.pending_relax
-        p0 = self.age_when_0.pending_relax
-        pend1, pend0 = [], []
-        for _ in range(n_captures):
-            pend1.append(p1)
-            pend0.append(p0)
-            p1 += off  # relax_uniform's exact scalar accumulation
-            p0 += off
-        nbti = self._nbti
-        return {
-            "cache": cache,
-            "sigma": sigma,
-            "pend1": pend1,
-            "pend0": pend0,
-            "tau": nbti.rec_tau_s,
-            "coeff": nbti.rec_log_coeff,
-            "ceiling": nbti.rec_ceiling,
-        }
-
-    def commit_fleet_capture(
-        self, n_captures: int, off_seconds: float, band_size: int
-    ) -> None:
-        """Apply the state the equivalent per-capture loop would have left.
-
-        Each capture's power-down advances both recovery clocks by
-        ``off_seconds`` — deferred scalar adds, applied one capture at a
-        time so the accumulated ``pending_relax`` floats match the loop's
-        trajectory bit-for-bit — and the capture stats advance by the
-        whole burst.
-        """
-        st1, st0 = self.age_when_1, self.age_when_0
-        nbti = self._nbti
-        for _ in range(n_captures):
-            nbti.relax_uniform(st1, off_seconds)
-            nbti.relax_uniform(st0, off_seconds)
-        if telemetry.active():
-            telemetry.count(
-                "physics.relax_seconds", n_captures * float(off_seconds)
-            )
-        stats = self.capture_stats
-        stats["captures"] += n_captures
-        stats["band_cells"] += n_captures * int(band_size)
+        return self._plan_burst(n_captures, off_seconds, vdd, gap_first=False)
 
     def _require_power(self) -> None:
         if not self.powered:

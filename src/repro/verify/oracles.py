@@ -228,20 +228,36 @@ _SOFT_FLAT_CODES = (
     examples=6,
 )
 def capture_batch_vs_loop(seed, n_captures, kib, stress_h):
-    """Batched capture engine is bit-identical to the N-fold power_cycle loop."""
-    a = _aged_array(seed, kib, stress_h)
-    b = _aged_array(seed, kib, stress_h)
-    batch = a.capture_power_on_states(n_captures)
-    loop = np.stack([b.power_cycle() for _ in range(n_captures)])
-    check_that(
-        np.array_equal(batch, loop),
-        f"batch capture diverged from the power-cycle loop on "
-        f"{int(np.count_nonzero(batch != loop))} bits",
+    """A capture-engine burst and a power_cycle loop of one-capture bursts
+    both equal the scalar per-capture reference, bit for bit."""
+    from .reference import ReferenceSampler
+
+    batch = _aged_array(seed, kib, stress_h).capture_power_on_states(n_captures)
+    looped = _aged_array(seed, kib, stress_h)
+    loop = np.stack([looped.power_cycle() for _ in range(n_captures)])
+    reference = ReferenceSampler(_aged_array(seed, kib, stress_h)).power_cycles(
+        n_captures
     )
+    for name, frames in (("burst", batch), ("power_cycle loop", loop)):
+        check_that(
+            np.array_equal(frames, reference),
+            f"{name} diverged from the scalar reference on "
+            f"{int(np.count_nonzero(frames != reference))} bits",
+        )
 
 
-def _fleet_rig(seed: int, n_devices: int, kib: float, stress_h: float):
-    """A staged-and-stressed tray, twin-safe: same seed -> same tray."""
+def _fleet_rig(
+    seed: int,
+    n_devices: int,
+    kib: float,
+    stress_h: float,
+    remanent_slot: "int | None" = None,
+):
+    """A staged-and-stressed tray, twin-safe: same seed -> same tray.
+
+    ``remanent_slot`` (taken modulo the tray size) is left powered off
+    without draining, with remanence still pending for its next power-up.
+    """
     from ..device.catalog import make_device
     from ..harness.rack import EncodingRack
 
@@ -257,6 +273,11 @@ def _fleet_rig(seed: int, n_devices: int, kib: float, stress_h: float):
     ]
     rack.stage_payloads(payloads)
     rack.stress_all(stress_hours=stress_h)
+    if remanent_slot is not None:
+        board = rack.boards[remanent_slot % n_devices]
+        board.power_on_nominal()
+        board.power_off(drain=False)
+        board.device.advance(0.05)
     return rack, payloads
 
 
@@ -267,37 +288,45 @@ def _fleet_rig(seed: int, n_devices: int, kib: float, stress_h: float):
         g.sampled_from([1, 2, 3], name="n_devices"),
         g.odd_integers(1, 5, name="n_captures"),
         g.sampled_from([0.25, 0.5], name="kib"),
+        g.sampled_from([None, 0, 1], name="remanent_slot"),
     ),
     examples=4,
 )
-def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
-    """The stacked fleet kernel is bit-identical to the per-device loop:
-    frames, majority states, channel errors, AND the committed analog
-    trajectory (pending relax, flush counts) all match a twin tray
-    measured board by board."""
+def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib, remanent_slot):
+    """The fleet capture is bit-identical to the scalar reference measuring
+    a twin tray board by board: frames, majority states, channel errors,
+    AND the analog trajectory (pending relax, flush counts) — including a
+    slot with remanence pending, which the board's loop sequences."""
     from ..bitutils import bit_error_rate, invert_bits, majority_vote
     from ..core.fleetcapture import capture_fleet
+    from .reference import ReferenceSampler
 
-    rack_a, payloads = _fleet_rig(seed, n_devices, kib, 2.0)
-    rack_b, _ = _fleet_rig(seed, n_devices, kib, 2.0)
+    rack_a, payloads = _fleet_rig(seed, n_devices, kib, 2.0, remanent_slot)
+    rack_b, _ = _fleet_rig(seed, n_devices, kib, 2.0, remanent_slot)
 
     fleet = capture_fleet(
         rack_a.boards, n_captures, payloads=payloads, return_frames=True
     )
     # Boards carrying a fault injector (e.g. the CI chaos sweep's ambient
-    # REPRO_FAULT_PLAN) must opt out of the kernel; injector-free boards
-    # must never fall back.  Bit-identity below holds either way.
-    expected = tuple(board.fault_injector is None for board in rack_a.boards)
+    # REPRO_FAULT_PLAN) or pending remanence must opt out of the engine's
+    # tray call; every other board must take it.  Bit-identity below
+    # holds either way.
+    expected = tuple(
+        board.fault_injector is None and board.device.sram._retained is None
+        for board in rack_b.boards
+    )
     check_that(
         fleet.vectorized == expected,
-        f"kernel routing {fleet.vectorized} != injector map {expected}",
+        f"engine routing {fleet.vectorized} != opt-out map {expected}",
     )
     for index, board in enumerate(rack_b.boards):
-        stack = board.capture_power_on_states(n_captures)
+        stack = ReferenceSampler(board.device.sram).board_captures(
+            board, n_captures
+        )
         diverged = int(np.count_nonzero(fleet.frames[index] != stack))
         check_that(
             diverged == 0,
-            f"slot {index} kernel frames diverged from the device loop "
+            f"slot {index} fleet frames diverged from the reference "
             f"on {diverged} bits",
         )
         state = majority_vote(stack)
@@ -308,7 +337,7 @@ def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
         error = bit_error_rate(payloads[index], invert_bits(state))
         check_that(
             fleet.errors[index] == error,
-            f"slot {index} error {fleet.errors[index]} != loop {error}",
+            f"slot {index} error {fleet.errors[index]} != reference {error}",
         )
         sram_a = rack_a.boards[index].device.sram
         sram_b = board.device.sram
@@ -316,7 +345,7 @@ def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
             sram_a.age_when_1.pending_relax == sram_b.age_when_1.pending_relax
             and sram_a.age_when_0.pending_relax
             == sram_b.age_when_0.pending_relax,
-            f"slot {index} committed pending relax diverged",
+            f"slot {index} pending relax diverged",
         )
         check_that(
             sram_a.age_when_1.flushes == sram_b.age_when_1.flushes
@@ -1123,39 +1152,41 @@ def _mutant_tie_to_zero(rng):
 
 @mutant("fleet.capture_vs_device_loop", "kernel-decision-bit-flip")
 def _mutant_kernel_decision_flip(rng):
-    """One flipped decision inside the stacked kernel must break frame
-    identity with the per-device loop."""
+    """One flipped decision inside the capture kernel must break frame
+    identity with the scalar reference."""
     import os
 
     from ..core import fleetcapture
+    from ..sram import array as engine
+    from .reference import ReferenceSampler
 
-    # The planted defect lives in the stacked path; an ambient chaos plan
-    # (REPRO_FAULT_PLAN) would wire injectors into every board, route all
-    # slots to the per-capture loop, and hide it.
+    # The planted defect lives in the engine's tray call; an ambient chaos
+    # plan (REPRO_FAULT_PLAN) would wire injectors into every board, route
+    # all slots to the sequenced loop, and hide it.
     ambient = os.environ.pop("REPRO_FAULT_PLAN", None)
-    pristine = fleetcapture._stacked_decisions
+    pristine = engine.stacked_band_decisions
 
-    def skewed(plans, noise):
-        decisions = pristine(plans, noise)
-        flat = decisions.reshape(-1)
-        check_that(flat.size > 0, "mutant needs a non-empty noise band")
-        flat[int(rng.integers(0, flat.size))] ^= 1
+    def skewed(segments, noise):
+        decisions = pristine(segments, noise)
+        block = next((d for d in decisions if d.size), None)
+        check_that(block is not None, "mutant needs a non-empty noise band")
+        block.reshape(-1)[int(rng.integers(0, block.size))] ^= True
         return decisions
 
     try:
         seed = int(rng.integers(0, 2**31))
         rack_a, payloads = _fleet_rig(seed, 2, 0.25, 2.0)
         rack_b, _ = _fleet_rig(seed, 2, 0.25, 2.0)
-        fleetcapture._stacked_decisions = skewed
+        engine.stacked_band_decisions = skewed
         fleet = fleetcapture.capture_fleet(
             rack_a.boards, 3, payloads=payloads, return_frames=True
         )
     finally:
-        fleetcapture._stacked_decisions = pristine
+        engine.stacked_band_decisions = pristine
         if ambient is not None:
             os.environ["REPRO_FAULT_PLAN"] = ambient
     for index, board in enumerate(rack_b.boards):
-        stack = board.capture_power_on_states(3)
+        stack = ReferenceSampler(board.device.sram).board_captures(board, 3)
         check_that(
             np.array_equal(fleet.frames[index], stack),
             f"kernel decision flip detected on slot {index}",

@@ -83,3 +83,84 @@ def test_bridge_replays_offline_trace(tmp_path):
     text = registry.expose()
     assert 'repro_receives_total{device="MSP432P401",status="ok"} 1' in text
     assert 'repro_raw_ber{device="MSP432P401"}' in text
+
+
+def _tray(n_devices, *, injector=False):
+    """Aged 0.25 KiB boards; ``injector`` attaches a benign fault plan to
+    the last one, which routes it to the board's sequenced loop."""
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.units import hours
+
+    boards = []
+    for index in range(n_devices):
+        device = make_device("MSP432P401", rng=60 + index, sram_kib=0.25)
+        board = ControlBoard(device)
+        board.stage_payload(bytes(board.device.sram.n_bytes), use_firmware=False)
+        board.device.advance(hours(1))
+        board.power_off()
+        boards.append(board)
+    if injector:
+        boards[-1].fault_injector = FaultInjector(FaultPlan(seed=1))
+    return boards
+
+
+def _array_burst(n):
+    array = make_device("MSP432P401", rng=70, sram_kib=0.25).sram
+    return [array], lambda: array.capture_power_on_states(n), "sram.capture"
+
+
+def _board_burst(n):
+    (board,) = _tray(1)
+    run = lambda: board.capture_power_on_states(n)  # noqa: E731
+    return [board.device.sram], run, "board.capture"
+
+
+def _fleet(n_devices, *, injector=False):
+    from repro.core.fleetcapture import capture_fleet
+
+    def entry(n):
+        boards = _tray(n_devices, injector=injector)
+        arrays = [board.device.sram for board in boards]
+        return arrays, lambda: capture_fleet(boards, n), "fleet.capture"
+
+    return entry
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _array_burst,
+        _board_burst,
+        _fleet(1),
+        _fleet(3),
+        _fleet(2, injector=True),
+    ],
+    ids=[
+        "array-burst",
+        "board-burst",
+        "fleet-one-slot",
+        "fleet-multi-slot",
+        "fleet-injector-fallback",
+    ],
+)
+def test_capture_counters_tick_once_per_capture(entry, monkeypatch):
+    """Every entry point into the capture engine ticks the capture
+    counters exactly once per capture and reports the same count on its
+    span — no path double-counts, none is missed."""
+    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+    n_captures = 3
+    arrays, run, span_name = entry(n_captures)
+    metrics.enable()
+    sink = telemetry.RingBufferSink()
+    telemetry.add_sink(sink)
+    try:
+        run()
+    finally:
+        telemetry.remove_sink(sink)
+    n_bits = sum(array.n_bits for array in arrays)
+    cells = metrics.registry.get("repro_capture_cells_total")
+    assert cells.series()[()].value == n_captures * n_bits
+    captures = metrics.registry.get("repro_captures_total")
+    assert captures.series()[("MSP432P401",)].value == n_captures * len(arrays)
+    (span,) = sink.records(type="span", name=span_name)
+    assert span["counters"]["sram.captures"] == n_captures * len(arrays)

@@ -1,10 +1,12 @@
-"""Batch capture engine: bit-exact equivalence with the power-cycle loop.
+"""Capture engine bursts: bit-exact equivalence with the scalar reference.
 
-The batch path in :meth:`SRAMArray.capture_power_on_states` must be
-indistinguishable from calling :meth:`power_cycle` N times on an identical
-twin — same seed, same aging history, same captures, same decode.  These
-tests build twin arrays and compare bit-for-bit across every start
-condition the harness can produce, plus the cache-invalidation edges.
+A burst from :meth:`SRAMArray.capture_power_on_states` must be
+indistinguishable from the scalar per-capture loop in
+:mod:`repro.verify.reference` driving :meth:`SRAMArray.power_cycle`'s
+sequence on an identical twin — same seed, same aging history, same
+captures, same decode.  These tests build twin arrays and compare
+bit-for-bit across every start condition the harness can produce, plus
+the cache-invalidation edges.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from repro.bitutils import majority_vote
 from repro.errors import ConfigurationError
 from repro.sram.array import SRAMArray
 from repro.units import days, hours
+from repro.verify.reference import ReferenceSampler
 
 
 def _aged_array(profile, *, seed=7, kib=1, stress_h=4.0):
@@ -33,7 +36,7 @@ def _twins(profile, **kwargs):
 
 
 def _loop_captures(array, n, **kwargs):
-    return np.stack([array.power_cycle(**kwargs) for _ in range(n)])
+    return ReferenceSampler(array).power_cycles(n, **kwargs)
 
 
 def test_batch_equals_loop_from_unpowered(msp432_profile):
@@ -151,10 +154,11 @@ def test_invalidate_analog_caches_survives_external_mutation(msp432_profile):
     assert np.array_equal(a.capture_power_on_states(3), _loop_captures(b, 3))
 
 
-def test_capture_count_validation(msp432_profile):
+@pytest.mark.parametrize("bad", [True, 2.0, 0, -1])
+def test_capture_count_validation(msp432_profile, bad):
     array = SRAMArray.from_kib(1, msp432_profile, rng=0)
     with pytest.raises(ConfigurationError):
-        array.capture_power_on_states(0)
+        array.capture_power_on_states(bad)
 
 
 def test_batch_shapes_and_dtype(msp432_profile):

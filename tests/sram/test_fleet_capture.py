@@ -1,11 +1,13 @@
-"""SRAMArray's fleet-capture surface: the fast cache rebuild and the
-plan/commit pair.
+"""SRAMArray's capture-engine surface: the one cache builder and the
+burst plan.
 
-The fleet kernel's cache refresh (`_fleet_refresh_capture_cache`) shares
-the `k * t^n` power-law between the offsets and the locked-in magnitudes,
-skips zero-stress cells, and collapses uniform relax clocks to a scalar
+The cache builder (`_refresh_capture_cache`) shares the `k * t^n`
+power-law between the offsets and the locked-in magnitudes, skips
+zero-stress cells, and collapses uniform relax clocks to a scalar
 `log1p` — all transformations that must leave every cached double
-bit-identical to the reference rebuild (`_refresh_capture_cache`).
+bit-identical to the direct `nbti.dvth` build kept in
+`repro.verify.reference`.  Bursts must equal that module's scalar
+per-capture loop, frames and analog trajectory alike.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 from repro.device.catalog import device_spec
 from repro.errors import ConfigurationError
 from repro.sram import SRAMArray
-from repro.units import hours
+from repro.units import days, hours
+from repro.verify.reference import ReferenceSampler, reference_capture_cache
 
 
 def _aged(seed, kib=0.25, stress_h=4.0, mixed_relax=False):
@@ -44,8 +47,8 @@ def test_fleet_refresh_is_bit_identical_to_reference(seed, mixed_relax):
     a = _aged(seed, mixed_relax=mixed_relax)
     b = _aged(seed, mixed_relax=mixed_relax)
     sigma = a._effective_noise_sigma()
-    ref = a._refresh_capture_cache(sigma)
-    fast = b._fleet_refresh_capture_cache(sigma)
+    ref = reference_capture_cache(a, sigma)
+    fast = b._refresh_capture_cache(sigma)
     assert set(ref) == set(fast)
     for key in ref:
         left, right = ref[key], fast[key]
@@ -53,55 +56,78 @@ def test_fleet_refresh_is_bit_identical_to_reference(seed, mixed_relax):
             assert np.array_equal(left, right), key
         else:
             assert left == right, key
+    nbti = a._nbti
+    direct = a.mismatch + nbti.dvth(a.age_when_0) - nbti.dvth(a.age_when_1)
+    assert np.array_equal(b.offsets(), direct)
 
 
 def test_plan_rejects_bad_counts_and_powered_arrays():
     arr = _aged(1)
-    with pytest.raises(ConfigurationError):
-        arr.plan_fleet_capture(0)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ConfigurationError):
+            arr.plan_fleet_capture(bad)
     arr.apply_power()
-    assert arr.plan_fleet_capture(3) is None  # powered: loop handles it
+    assert arr.plan_fleet_capture(3) is None  # powered: the caller sequences it
 
 
 def test_plan_trajectories_accumulate_like_the_loop():
     arr = _aged(2)
-    plan = arr.plan_fleet_capture(5, off_seconds=1.0)
-    assert plan is not None
     p = arr.age_when_1.pending_relax
+    burst = arr.plan_fleet_capture(5, off_seconds=1.0)
+    assert burst is not None and len(burst.segments) == 1
     expected = []
     for _ in range(5):
         expected.append(p)
         p += 1.0
-    assert plan["pend1"] == expected
-    assert plan["pend0"] == expected
+    assert burst.segments[0].pend1 == expected
+    assert burst.segments[0].pend0 == expected
+    # Planning has already advanced both clocks through the burst.
+    assert arr.age_when_1.pending_relax == p
 
 
 def test_commit_matches_loop_relax_and_stats():
+    """A board-order burst leaves the same frames, relax clocks, flush
+    counts and capture stats as the reference loop on a twin."""
+    from repro.sram.array import run_bursts
+
     arr = _aged(3)
     twin = _aged(3)
-    plan = arr.plan_fleet_capture(3)
-    assert plan is not None
-    before = dict(arr.capture_stats)
-    arr.commit_fleet_capture(3, 1.0, plan["cache"]["band"].size)
-    # The loop equivalent: three deferred shelf gaps.
+    burst = arr.plan_fleet_capture(3)
+    run_bursts([burst])
+    frames = burst.frames()
+    expected = []
+    sampler = ReferenceSampler(twin)
     for _ in range(3):
-        twin._nbti.relax_uniform(twin.age_when_1, 1.0)
-        twin._nbti.relax_uniform(twin.age_when_0, 1.0)
-    assert arr.age_when_1.pending_relax == twin.age_when_1.pending_relax
-    assert arr.age_when_0.pending_relax == twin.age_when_0.pending_relax
-    assert arr.capture_stats["captures"] == before["captures"] + 3
-    assert (
-        arr.capture_stats["band_cells"]
-        == before["band_cells"] + 3 * plan["cache"]["band"].size
-    )
+        expected.append(sampler.power_on())
+        twin.remove_power()
+        twin.shelve(1.0)
+    assert np.array_equal(frames, np.stack(expected))
+    for st, ref in (
+        (arr.age_when_1, twin.age_when_1),
+        (arr.age_when_0, twin.age_when_0),
+    ):
+        assert st.pending_relax == ref.pending_relax
+        assert st.flushes == ref.flushes
+    assert arr.capture_stats == twin.capture_stats
 
 
-def test_plan_refuses_burst_exceeding_drift_budget():
-    """A burst whose accumulated shelf relax would invalidate the cache
-    mid-flight returns None (the exact loop handles it) instead of
-    risking a divergent refresh point."""
+def test_plan_splits_burst_exceeding_drift_budget():
+    """A burst whose accumulated shelf relax exhausts the drift budget is
+    split into cache segments at exactly the captures where the reference
+    loop refreshes, and stays bit-identical to it."""
+    from repro.sram.array import run_bursts
+
     arr = _aged(4)
-    sigma = arr._effective_noise_sigma()
-    arr._refresh_capture_cache(sigma)
-    giant_gap = 10 * 365 * 24 * 3600.0
-    assert arr.plan_fleet_capture(3, off_seconds=giant_gap) is None
+    twin = _aged(4)
+    giant_gap = days(10 * 365)
+    burst = arr.plan_fleet_capture(3, off_seconds=giant_gap)
+    assert len(burst.segments) > 1
+    run_bursts([burst])
+    expected = []
+    sampler = ReferenceSampler(twin)
+    for _ in range(3):
+        expected.append(sampler.power_on())
+        twin.remove_power()
+        twin.shelve(giant_gap)
+    assert np.array_equal(burst.frames(), np.stack(expected))
+    assert arr.age_when_1.flushes == twin.age_when_1.flushes

@@ -83,20 +83,26 @@ class TestSamplingProfiler:
 
     def test_cpu_mode_drops_idle_leaves(self):
         import threading
+        from concurrent.futures import ThreadPoolExecutor
 
         # Park a thread at a Python-level idle leaf (Event.wait lands in
-        # threading:wait; time.sleep is C-level and leaves no frame).
+        # threading:wait; time.sleep is C-level and leaves no frame), and
+        # an idle executor worker (blocked in C SimpleQueue.get, so its
+        # leaf frame is the worker loop itself).
         release = threading.Event()
         parked = threading.Thread(target=release.wait, daemon=True)
         parked.start()
-        profiler = SamplingProfiler(interval_s=0.001, mode="cpu").start()
-        _spin(0.1)
-        profiler.stop()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(int).result()
+            profiler = SamplingProfiler(interval_s=0.001, mode="cpu").start()
+            _spin(0.1)
+            profiler.stop()
         release.set()
         parked.join()
         assert profiler.dropped_idle > 0
         assert not any(
-            stack[-1] == "threading:wait" for stack in profiler.samples
+            stack[-1] in ("threading:wait", "concurrent.futures.thread:_worker")
+            for stack in profiler.samples
         )
 
 
