@@ -42,8 +42,9 @@ class FleetCapture:
     ``(n_captures, n_bits)`` capture stacks (on request only — the
     measurement path never materializes them).  ``vectorized[i]`` says
     whether slot ``i`` ran in the capture engine's tray call or was
-    sequenced by its board's loop; in resilient mode a failed slot carries its exception in
-    ``slot_errors[i]`` with ``states``/``errors`` entries of ``None``.
+    sequenced by its board's loop; in resilient mode a failed slot
+    carries its exception in ``slot_errors[i]`` with ``states``/``errors``
+    entries of ``None``.
     """
 
     states: "list[np.ndarray | None]"

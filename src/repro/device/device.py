@@ -92,11 +92,13 @@ class Device:
         *,
         boot: bool = True,
         max_steps: int = DEFAULT_BOOT_STEPS,
-    ) -> np.ndarray:
+        sample: bool = True,
+    ) -> "np.ndarray | None":
         """Apply board power and (optionally) run the loaded firmware.
 
         Returns the SRAM power-on state as captured *before* firmware runs —
-        what a debugger halted at the reset vector would read out.
+        what a debugger halted at the reset vector would read out — or
+        ``None`` with ``sample=False`` (see :meth:`SRAMArray.apply_power`).
         """
         if self.powered:
             raise PowerError(f"{self.spec.name} is already powered")
@@ -107,7 +109,7 @@ class Device:
             regulated = self.spec.has_regulator and not self.regulator.bypassed
             external_v = 5.0 if regulated else self.spec.technology.vdd_nominal
         core_v = self.regulator.core_voltage(external_v)
-        state = self.sram.apply_power(core_v)
+        state = self.sram.apply_power(core_v, sample=sample)
         self.external_v = external_v
         self.cpu.reset(self._firmware.entry_point if self._firmware else None)
         if boot and self._boot_enabled:

@@ -65,10 +65,11 @@ class ControlBoard:
             return 5.0
         return self.device.spec.technology.vdd_nominal
 
-    def power_on_nominal(self) -> np.ndarray:
-        """Power the target at nominal conditions; returns power-on state."""
+    def power_on_nominal(self, *, sample: bool = True) -> "np.ndarray | None":
+        """Power the target at nominal conditions; returns power-on state
+        (``None`` with ``sample=False``, see :meth:`SRAMArray.apply_power`)."""
         self.supply.set_voltage(self._nominal_rail())
-        return self.supply.on()
+        return self.supply.on(sample=sample)
 
     def power_off(self, *, drain: bool = True) -> None:
         self.supply.off(drain=drain)
@@ -88,7 +89,9 @@ class ControlBoard:
         payload-writer assembly, flash it, and let the CPU copy the payload
         into SRAM before parking in its busy-wait.  ``use_firmware=False``
         takes the debugger bulk-write fast path (also available on real
-        hardware) — the analog outcome is identical.
+        hardware) — the analog outcome is identical.  Every cell is
+        overwritten, so the staging power-up samples nothing: toggles
+        count against the noise-free decision ``offsets() > 0``.
         """
         bits = as_bit_array(payload_bits)
         if bits.size != self.device.sram.n_bits:
@@ -109,12 +112,12 @@ class ControlBoard:
                 payload_bytes = bits_to_bytes(bits)
                 source = payload_writer_program(payload_bytes)
                 self.device.load_firmware(source)
-                self.power_on_nominal()
+                self.power_on_nominal(sample=False)
                 if not self.device.cpu.spinning:
                     raise DeviceError("payload writer did not reach its busy-wait")
             else:
                 self.device.load_firmware(retention_program())
-                self.power_on_nominal()
+                self.power_on_nominal(sample=False)
                 self.debug.write_sram_bits(bits)
 
             if verify:

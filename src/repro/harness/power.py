@@ -47,15 +47,16 @@ class PowerSupply:
         if self.output_on and self._device is not None:
             self._device.set_supply(volts)
 
-    def on(self) -> "object":
-        """Enable the output; returns the target's SRAM power-on state."""
+    def on(self, *, sample: bool = True) -> "object":
+        """Enable the output; returns the target's SRAM power-on state
+        (``None`` with ``sample=False``, see :meth:`Device.power_on`)."""
         if self._device is None:
             raise PowerError("no device connected")
         if self.output_on:
             raise PowerError("output is already on")
         if self.voltage <= 0:
             raise PowerError("set a voltage before enabling the output")
-        state = self._device.power_on(self.voltage)
+        state = self._device.power_on(self.voltage, sample=sample)
         self.output_on = True
         return state
 

@@ -43,6 +43,10 @@ bound decides when they force a refresh, so long bursts stay exact.  Code
 that mutates aging state behind the array's back (e.g. snapshot restore)
 must call :meth:`invalidate_analog_caches`.  The scalar per-capture loop
 the engine must match bit for bit is :mod:`repro.verify.reference`.
+
+Payload staging overwrites every cell, so it powers up with
+``apply_power(sample=False)``: nothing is sampled, and the write counts its
+HCI toggles against the noise-free decision ``offsets() > 0``.
 """
 
 from __future__ import annotations
@@ -145,11 +149,9 @@ def _recovered_rows(seg: _Segment, pends: list, r_key: str):
     (band-sized temporaries stay in cache; a whole burst's would not).
 
     Relax clocks take few distinct values (a shared stress period leaves
-    two: stressed-at-0 and never-stressed), so the ``log1p`` is evaluated
-    once per *unique* relax value per capture and the row is assembled by
-    selection — the selected doubles are exactly the ones elementwise
-    evaluation produces.  The unique decomposition is memoised on the
-    capture cache (computed once per refresh).
+    two), so ``log1p`` runs once per *unique* value, memoised on the cache,
+    and rows are assembled by selection — the same doubles elementwise
+    evaluation gives.
     """
     cache, nbti = seg.cache, seg.nbti
     r = cache[r_key]
@@ -244,10 +246,9 @@ def run_bursts(bursts: "list[CaptureBurst]") -> None:
     """Draw every burst's noise, decide all of them in one kernel call,
     and account the captures.
 
-    Each array's noise comes from its own generator, one block per
-    segment in capture order, so the stream is the one per-capture
-    draws would consume — results do not depend on which other arrays
-    share the call.
+    Each array's noise comes from its own generator, one block per segment
+    in capture order — the stream per-capture draws would consume — so
+    results do not depend on which other arrays share the call.
     """
     segments = [seg for burst in bursts for seg in burst.segments]
     noise = [
@@ -392,32 +393,43 @@ class SRAMArray:
 
     # -- power events ------------------------------------------------------------
 
-    def apply_power(self, vdd: "float | None" = None) -> np.ndarray:
+    def apply_power(
+        self, vdd: "float | None" = None, *, sample: bool = True
+    ) -> "np.ndarray | None":
         """Power the array up and return a copy of its power-on state.
 
         The state is a one-capture burst of the capture engine.  Cells
         whose charge survived the power gap (see :class:`RemanenceModel`)
         return their previous value instead of the true power-on state —
         the effect the paper's harness eliminates by draining the rail.
+
+        ``sample=False`` (payload staging, which overwrites every cell)
+        draws nothing and returns ``None``; the contents start at the
+        noise-free decision ``offsets() > 0`` that writes count toggles
+        against.
         """
         if self.powered:
             raise PowerError("array is already powered")
         vdd = self.technology.vdd_nominal if vdd is None else float(vdd)
-        burst = self._plan_burst(1, 0.0, vdd, gap_first=False)
-        run_bursts([burst])
-        state = burst.frames()[0]
-        if self._retained is not None:
-            keep = self._remanence.retained_mask(
-                self.n_bits, self._off_seconds, self.temp_k, self._rng
-            )
-            state[keep] = self._retained[keep]
+        if sample:
+            burst = self._plan_burst(1, 0.0, vdd, gap_first=False)
+            run_bursts([burst])
+            state = burst.frames()[0]
+            if self._retained is not None:
+                keep = self._remanence.retained_mask(
+                    self.n_bits, self._off_seconds, self.temp_k, self._rng
+                )
+                state[keep] = self._retained[keep]
+        else:
+            self.technology.check_operating_point(vdd, self.temp_k)
+            state = (self._exact_offsets() > 0.0).astype(np.uint8)
         self._retained = None
         self._off_seconds = 0.0
 
         self.powered = True
         self.vdd = vdd
         self._data = state
-        return state.copy()
+        return state.copy() if sample else None
 
     def remove_power(self, *, drain: bool = True) -> None:
         """Cut power.  ``drain=True`` pulls the rail to ground, destroying
@@ -753,13 +765,11 @@ class SRAMArray:
     ) -> CaptureBurst:
         """Plan ``n_captures`` drained power-ups ``off_seconds`` apart.
 
-        Advances both recovery clocks through the burst — a deferred
-        ``off_seconds`` before each capture (``gap_first``, the
-        :meth:`power_cycle` order) or after each (the control board's
-        power-on/read/power-off/wait order) — records the deferred relax
-        every capture sees, and refreshes the capture cache at exactly the
-        captures where the per-capture loop would.  Captures sharing one
-        cache form a segment.
+        Advances both recovery clocks through the burst — a deferred gap
+        before each capture (``gap_first``, the :meth:`power_cycle` order)
+        or after each (the control board's order) — records the deferred
+        relax each capture sees, and refreshes the capture cache where the
+        per-capture loop would.  Captures sharing one cache form a segment.
         """
         self.technology.check_operating_point(vdd, self.temp_k)
         sigma = self._effective_noise_sigma()

@@ -33,6 +33,20 @@ class TestStagePayload:
         with pytest.raises(CapacityError):
             board.stage_payload(np.ones(16, dtype=np.uint8))
 
+    @pytest.mark.parametrize("use_firmware", [False, True])
+    def test_staging_draws_no_power_on_sample(self, payload, use_firmware):
+        """Staging overwrites every cell, so its power-up samples nothing:
+        no capture is counted, no noise is drawn, and the write's HCI
+        toggles count against the noise-free decision ``offsets() > 0``."""
+        board = ControlBoard(make_device("MSP432P401", rng=21, sram_kib=2))
+        sram = board.device.sram
+        preferred = (sram.offsets() > 0).astype(np.uint8)
+        rng_state = sram._rng.bit_generator.state
+        board.stage_payload(payload, use_firmware=use_firmware)
+        assert sram.capture_stats["captures"] == 0
+        assert sram._rng.bit_generator.state == rng_state
+        assert sram.toggle_count == np.count_nonzero(preferred != payload)
+
 
 class TestEncodeDecode:
     def test_full_recipe_hits_table4_error(self, board, payload):
