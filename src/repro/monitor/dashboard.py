@@ -99,6 +99,31 @@ def _rule_rows(monitor) -> "list[tuple[str, str, str, str, str]]":
     return rows
 
 
+def _sections(monitor) -> list:
+    """(dashboard title, report title, header, rows) per table."""
+    return [
+        ("metrics", "Metrics", ("metric", "last", "trend"), _metric_rows(monitor)),
+        (
+            "devices",
+            "Device health",
+            ("device", "raw BER", "trend", "status"),
+            _device_rows(monitor),
+        ),
+        (
+            "request latency (slowest span first)",
+            "Request latency",
+            ("span", "count", "mean ms", "slow trace"),
+            _latency_rows(monitor),
+        ),
+        (
+            "slo rules",
+            "SLO rules",
+            ("rule", "signal", "value", "severity", "state"),
+            _rule_rows(monitor),
+        ),
+    ]
+
+
 def _table(rows, header, *, indent: str = "  ") -> "list[str]":
     widths = [
         max(len(str(row[i])) for row in [header, *rows])
@@ -125,35 +150,9 @@ def render_dashboard(monitor, width: int = 78) -> str:
     )
     lines = [title[:width], "=" * min(width, len(title))]
 
-    metric_rows = _metric_rows(monitor)
-    if metric_rows:
-        lines.append("")
-        lines.append("metrics")
-        lines.extend(_table(metric_rows, ("metric", "last", "trend")))
-
-    device_rows = _device_rows(monitor)
-    if device_rows:
-        lines.append("")
-        lines.append("devices")
-        lines.extend(
-            _table(device_rows, ("device", "raw BER", "trend", "status"))
-        )
-
-    latency_rows = _latency_rows(monitor)
-    if latency_rows:
-        lines.append("")
-        lines.append("request latency (slowest span first)")
-        lines.extend(
-            _table(latency_rows, ("span", "count", "mean ms", "slow trace"))
-        )
-
-    rule_rows = _rule_rows(monitor)
-    if rule_rows:
-        lines.append("")
-        lines.append("slo rules")
-        lines.extend(
-            _table(rule_rows, ("rule", "signal", "value", "severity", "state"))
-        )
+    for heading, _, header, rows in _sections(monitor):
+        if rows:
+            lines += ["", heading, *_table(rows, header)]
 
     if monitor.alerts:
         lines.append("")
@@ -186,28 +185,15 @@ def render_report(monitor, fmt: str = "markdown") -> str:
 
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
     sections = [
-        ("Metrics", ("metric", "last", "trend"), _metric_rows(monitor)),
-        (
-            "Device health",
-            ("device", "raw BER", "trend", "status"),
-            _device_rows(monitor),
-        ),
-        (
-            "Request latency",
-            ("span", "count", "mean ms", "slow trace"),
-            _latency_rows(monitor),
-        ),
-        (
-            "SLO rules",
-            ("rule", "signal", "value", "severity", "state"),
-            _rule_rows(monitor),
-        ),
+        (title, header, rows) for _, title, header, rows in _sections(monitor)
+    ]
+    sections.append(
         (
             "Alerts",
             ("severity", "sample", "message"),
             [(a.severity, str(a.sample), a.message) for a in monitor.alerts],
-        ),
-    ]
+        )
+    )
     summary = (
         f"{monitor.samples} sample(s), {len(monitor.health)} device(s), "
         f"{len(monitor.active_alerts())} rule(s) firing, "

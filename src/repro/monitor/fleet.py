@@ -73,14 +73,7 @@ class _RuleState:
         if self.streak < rule.for_n_samples or self.active:
             return None
         self.active = True
-        return Alert(
-            rule=rule.name,
-            severity=rule.severity,
-            metric=rule.metric,
-            value=float(value),
-            sample=sample,
-            message=rule.message_for(float(value)),
-        )
+        return rule.alert(float(value), sample=sample)
 
 
 class FleetMonitor:
@@ -98,13 +91,13 @@ class FleetMonitor:
         rules: "tuple[AlertRule, ...] | list[AlertRule] | None" = None,
         *,
         registry: "metrics.MetricsRegistry | None" = None,
-        history: int = 512,
     ):
         self.registry = registry if registry is not None else metrics.registry
         self.bridge = metrics.TelemetryBridge(self.registry)
         self.rules = tuple(rules) if rules is not None else default_slo_rules()
         self._states = [_RuleState(rule) for rule in self.rules]
-        self.snapshots: "deque[dict]" = deque(maxlen=max(2, history))
+        #: The previous sample's snapshot, for ``delta`` rules.
+        self._previous: "dict | None" = None
         self.alerts: "list[Alert]" = []
         self.samples = 0
         self.series: "dict[tuple[str, str], deque]" = {}
@@ -179,10 +172,9 @@ class FleetMonitor:
     def sample(self) -> "list[Alert]":
         """Snapshot the registry, advance every rule, fire new alerts."""
         snapshot = self.registry.snapshot()
-        previous = self.snapshots[-1] if self.snapshots else None
         fired = []
         for state in self._states:
-            alert = state.evaluate(snapshot, previous, self.samples)
+            alert = state.evaluate(snapshot, self._previous, self.samples)
             if alert is not None:
                 fired.append(alert)
         for pair in self._watched:
@@ -191,7 +183,7 @@ class FleetMonitor:
             if value is not None:
                 self.series.setdefault(pair, deque(maxlen=256)).append(value)
         self._update_health(snapshot)
-        self.snapshots.append(snapshot)
+        self._previous = snapshot
         self.samples += 1
         self.alerts.extend(fired)
         for alert in fired:

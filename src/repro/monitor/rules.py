@@ -9,7 +9,8 @@ receive does not page anyone.
 
 Rules are plain data plus a callable; the evaluation state machine
 (consecutive-violation streaks, active/resolved transitions) lives in
-:class:`repro.monitor.fleet.FleetMonitor`.
+:class:`repro.monitor.fleet.FleetMonitor`; service lanes instead judge
+each batch alone with :meth:`AlertRule.violated` and :meth:`AlertRule.alert`.
 """
 
 from __future__ import annotations
@@ -173,6 +174,17 @@ class AlertRule:
 
     def violated(self, value: "float | None") -> bool:
         return value is not None and bool(self.predicate(value))
+
+    def alert(self, value: float, *, sample: int) -> Alert:
+        """The :class:`Alert` this rule fires at ``value``."""
+        return Alert(
+            rule=self.name,
+            severity=self.severity,
+            metric=self.metric,
+            value=value,
+            sample=sample,
+            message=self.message_for(value),
+        )
 
     def message_for(self, value: float) -> str:
         detail = f" ({self.description})" if self.description else ""

@@ -1,10 +1,12 @@
 """Admission control: who gets in, who gets shed, who gets re-admitted.
 
-The controller owns the healthy-shard set the router draws from.  A
-shard whose SLO monitor pages is **tripped** — recorded as a quarantine
-in a :class:`~repro.faults.HealthLedger` keyed by shard name (the same
-ledger the racks use for slots, reused one level up) — and its queued
-jobs reroute to the surviving lanes.  Operators (or tests) re-admit a
+The controller owns the healthy-shard set the router draws from, and is
+the only place that knows a lane is tripped.  A shard whose batch breaks
+an SLO rule (its worst raw BER, or its extra capture attempts) pages and
+is **tripped** — recorded as a quarantine in a
+:class:`~repro.faults.HealthLedger` keyed by shard name (the same ledger
+the racks use for slots, reused one level up) — and its queued jobs
+reroute to the surviving lanes.  Operators (or tests) re-admit a
 repaired lane with :meth:`AdmissionController.readmit`, which goes
 through :meth:`HealthLedger.reset` so the lane returns with a clean
 history.

@@ -12,12 +12,14 @@ The control loop (docs/service.md):
 * **Admission** — a full queue sheds impatient submitters, a cooperative
   submitter waits (that wait *is* the backpressure).  No healthy lanes →
   shed.
-* **SLO trips** — each lane's private :class:`~repro.monitor.FleetMonitor`
-  samples after every batch; a *page* alert (raw-BER ceiling, retry
-  budget) trips the lane: it stops taking new work, queued jobs reroute,
-  and the tripping batch's receives are re-executed on healthy lanes
-  (receives are read-only on device state, so the retry is safe; sends
-  age silicon and keep their first outcome).
+* **SLO trips** — after every batch the lane checks its SLO rules
+  against that batch's own outcomes; a *page* alert (the batch's max raw
+  BER over the ceiling, or its extra capture attempts over the retry
+  budget) trips the lane in the admission controller, the only holder
+  of trip state.  A tripped lane stops taking new work, its queued jobs
+  reroute, and every violating batch's receives are re-executed on
+  healthy lanes (receives are read-only on device state, so the retry
+  is safe; sends age silicon and keep their first outcome).
 * **Graceful drain** — :meth:`FleetService.drain` stops admission and
   joins every queue until nothing is queued *or in flight anywhere*,
   looping because reroutes move jobs between queues mid-drain.
@@ -1011,6 +1013,7 @@ class FleetService:
                 await _respond(writer, 400, {"error": "malformed request"})
                 return
             content_length = 0
+            bad_length = None
             traceparent = None
             while True:
                 line = await reader.readline()
@@ -1019,9 +1022,20 @@ class FleetService:
                 header = line.decode("latin-1")
                 lowered = header.lower()
                 if lowered.startswith("content-length:"):
-                    content_length = int(header.split(":", 1)[1].strip())
+                    value = header.split(":", 1)[1].strip()
+                    if value.isascii() and value.isdigit():
+                        content_length = int(value)
+                    else:
+                        bad_length = value
                 elif lowered.startswith(trace_ctx.TRACEPARENT_HEADER + ":"):
                     traceparent = header.split(":", 1)[1].strip()
+            if bad_length is not None:
+                await _respond(
+                    writer,
+                    400,
+                    {"error": f"malformed Content-Length: {bad_length!r}"},
+                )
+                return
             body = (
                 await reader.readexactly(content_length)
                 if content_length

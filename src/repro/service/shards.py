@@ -3,8 +3,8 @@
 A :class:`Shard` is *not* a partition of the devices — devices live in
 the shared :class:`FleetHost`, keyed by ``device_id`` and seeded purely
 by ``stable_seed(service_seed, device_id)``.  A shard is a harness lane:
-one worker, one queue, one fault domain, one private metrics registry
-watched by its own :class:`~repro.monitor.FleetMonitor`.  Because device
+one worker, one queue, one fault domain, one private retry counter, and
+two SLO rules judged against each batch's own outcomes.  Because device
 simulation never depends on which lane touched it (and the fleet capture
 kernel preserves per-device RNG streams for any batch composition),
 rerouting a device's jobs from a tripped lane to a healthy one yields
@@ -50,7 +50,7 @@ from ..experiments.common import make_varied_device
 from ..faults import FaultInjector, FaultPlan
 from ..harness.controlboard import ControlBoard
 from ..io import apply_device_state, device_state_arrays
-from ..monitor import FleetMonitor, ceiling_rule
+from ..monitor import ceiling_rule
 from .queue import Job
 
 __all__ = ["FleetHost", "Shard", "ShardRouter", "stable_seed"]
@@ -471,8 +471,10 @@ class Shard:
     ``execute_batch`` is synchronous numpy-heavy work — the service runs
     it via ``asyncio.to_thread``, one worker per shard, so a shard never
     executes two batches concurrently.  After every batch the shard
-    samples its private monitor; returned *page* alerts are the signal
-    the admission controller uses to trip the lane.
+    checks its SLO rules against that batch alone (its worst kernel raw
+    BER, its extra capture attempts); each broken rule is a *page* alert,
+    the signal the admission controller uses to trip the lane.  Trip
+    state lives only in the admission controller.
     """
 
     def __init__(
@@ -494,35 +496,24 @@ class Shard:
         )
         self.registry = metrics.MetricsRegistry()
         self.registry.enable()
-        self._raw_ber = self.registry.gauge(
-            "repro_raw_ber",
-            "truth-referenced raw channel BER per device",
-            ("device",),
-        )
         self._retries = self.registry.counter(
             "repro_retry_attempts_total",
             "extra capture attempts beyond the scheme's count",
         )
-        self.monitor = FleetMonitor(
-            (
-                ceiling_rule(
-                    "raw-ber-slo",
-                    "repro_raw_ber",
-                    raw_ber_limit,
-                    reduce="max",
-                    severity="page",
-                ),
-                ceiling_rule(
-                    "retry-slo",
-                    "repro_retry_attempts_total",
-                    retry_budget,
-                    reduce="sum",
-                    delta=True,
-                    severity="page",
-                ),
+        #: Page rules, checked in order against (batch max raw BER,
+        #: batch extra capture attempts).
+        self.rules = (
+            ceiling_rule("raw-ber-slo", "repro_raw_ber", raw_ber_limit),
+            ceiling_rule(
+                "retry-slo",
+                "repro_retry_attempts_total",
+                retry_budget,
+                reduce="sum",
+                delta=True,
             ),
-            registry=self.registry,
         )
+        #: Names of the rules the most recent batch broke.
+        self.last_pages: "list[str]" = []
         self.jobs_done = 0
         self.batches = 0
 
@@ -538,6 +529,8 @@ class Shard:
         outcome instead of sinking the batch.
         """
         outcomes: "dict[int, object]" = {}
+        raw_bers: "list[float]" = []
+        retries = 0
         swapped: "list[tuple[ControlBoard, FaultInjector | None]]" = []
         lanes: set = set()
 
@@ -558,14 +551,25 @@ class Shard:
                         self._execute_send(job, outcomes, lane)
                 receives = [j for j in jobs if j.kind == "receive"]
                 for group in _unique_groups(receives):
-                    self._execute_receive_group(group, outcomes, lane)
+                    retries += self._execute_receive_group(
+                        group, outcomes, lane, raw_bers
+                    )
             finally:
                 for board, previous in swapped:
                     board.fault_injector = previous
+        self._retries.inc(retries)
+        pages = [
+            rule.alert(float(value), sample=self.batches)
+            for rule, value in zip(
+                self.rules, (max(raw_bers, default=None), retries)
+            )
+            if rule.violated(value)
+        ]
+        for alert in pages:
+            telemetry.emit_record(alert.to_record())
+        self.last_pages = [alert.rule for alert in pages]
         self.jobs_done += len(jobs)
         self.batches += 1
-        alerts = self.monitor.sample()
-        pages = [a for a in alerts if a.severity == "page"]
         return [(job, outcomes[id(job)]) for job in jobs], pages
 
     def _execute_send(self, job: Job, outcomes: dict, lane) -> None:
@@ -599,8 +603,11 @@ class Shard:
         )
 
     def _execute_receive_group(
-        self, group: "list[Job]", outcomes: dict, lane
-    ) -> None:
+        self, group: "list[Job]", outcomes: dict, lane, raw_bers: list
+    ) -> int:
+        """Run one unique-device group; appends each captured slot's
+        kernel raw BER to ``raw_bers``, returns the extra attempts."""
+        retries = 0
         staged = []
         for job in group:
             request = job.request
@@ -618,7 +625,7 @@ class Shard:
             except ReproError as exc:
                 outcomes[id(job)] = exc
         if not staged:
-            return
+            return retries
         # A singleton group's capture belongs to that request's trace; a
         # stacked group is shared work that cannot belong to any single
         # request, so its span roots a trace of its own.
@@ -640,9 +647,7 @@ class Shard:
         capture_s = time.perf_counter() - t_capture
         for pos, (job, channel, payload) in enumerate(staged):
             request = job.request
-            extra = fleet.attempts[pos] - 1
-            if extra > 0:
-                self._retries.inc(extra)
+            retries += max(fleet.attempts[pos] - 1, 0)
             if job.phases is not None:
                 # Wall time the request spent waiting on the (possibly
                 # shared) capture pass — what the submitter experienced.
@@ -657,7 +662,7 @@ class Shard:
                     else ServiceError(f"{type(exc).__name__}: {exc}")
                 )
                 continue
-            self._raw_ber.set(fleet.errors[pos], device=request.device_id)
+            raw_bers.append(fleet.errors[pos])
             t_decode = time.perf_counter()
             try:
                 with _job_trace(job), telemetry.trace(
@@ -682,12 +687,11 @@ class Shard:
                             message_len=request.message_len,
                             expected_payload=payload,
                         )
-                        escalated = (
+                        retries += max(
                             decode.total_captures
-                            - self.host.scheme.n_captures
+                            - self.host.scheme.n_captures,
+                            0,
                         )
-                        if escalated > 0:
-                            self._retries.inc(escalated)
             except ReproError as exc2:
                 outcomes[id(job)] = exc2
                 continue
@@ -700,6 +704,7 @@ class Shard:
             outcomes[id(job)] = receive_result(
                 request.device_id, decode, shard=self.name
             )
+        return retries
 
     # -- introspection ------------------------------------------------------------
 
@@ -709,7 +714,5 @@ class Shard:
             "jobs_done": self.jobs_done,
             "batches": self.batches,
             "faulted": self.injector is not None,
-            "active_alerts": [
-                rule.name for rule in self.monitor.active_alerts()
-            ],
+            "active_alerts": list(self.last_pages),
         }

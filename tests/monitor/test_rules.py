@@ -100,6 +100,15 @@ class TestAlertRule:
         assert "raw-ber-ceiling" in message
         assert "0.31" in message
 
+    def test_alert_carries_rule_fields_and_message(self):
+        rule = ceiling_rule("retry-slo", "m", 25, reduce="sum", delta=True)
+        alert = rule.alert(30.0, sample=4)
+        assert (alert.rule, alert.severity, alert.metric) == (
+            "retry-slo", "page", "m",
+        )
+        assert (alert.value, alert.sample) == (30.0, 4)
+        assert alert.message == rule.message_for(30.0)
+
 
 class TestDefaultSloRules:
     def test_shape(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -107,6 +108,25 @@ def test_malformed_job_400(live_service):
         assert "message_hex" in json.loads(response.read().decode())["error"]
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_400(live_service, length):
+    with socket.create_connection(
+        (live_service.host, live_service.port), timeout=10
+    ) as sock:
+        sock.sendall(
+            f"POST /send HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode()
+        )
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert "Content-Length" in json.loads(body.decode())["error"]
+    # The server survived: the next request on a new connection works.
+    assert live_service.healthz()["http_status"] == 200
 
 
 def test_shutdown_drains(live_service):

@@ -8,8 +8,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import ReceiveRequest, SendRequest
 from repro.faults import FaultPlan, HealthLedger, StuckRegion
-from repro.service import AdmissionController, FleetService, ServiceConfig
+from repro.service import (
+    AdmissionController,
+    FleetService,
+    ServiceConfig,
+    ShardRouter,
+)
 
 NAMES = ("shard-0", "shard-1", "shard-2", "shard-3")
 
@@ -91,6 +97,51 @@ def test_prober_keeps_a_sick_lane_quarantined():
     probed, still_tripped = asyncio.run(scenario())
     assert probed >= 1
     assert still_tripped, "a lane probing dirty must stay quarantined"
+
+
+def test_readmitted_sick_lane_trips_again_on_its_next_bad_batch():
+    """A lane's SLO verdict is its batch's own: a stuck lane that was
+    readmitted trips again on the next violating receive, and that
+    receive is served by a healthy lane."""
+    n_bits = int(0.25 * 8192)
+    plan = FaultPlan(
+        seed=0,
+        models=(StuckRegion(offset=0, length=n_bits // 2, value=0),),
+    )
+    config = ServiceConfig(
+        shards=2, seed=5, fault_plan=plan, fault_shards=("shard-1",)
+    )
+    router = ShardRouter(config.shard_names)
+    devices = [
+        device_id
+        for device_id in (f"retrip-{i}" for i in range(64))
+        if router.route(device_id) == "shard-1"
+    ][:3]
+    assert len(devices) == 3
+
+    async def scenario():
+        service = FleetService(config)
+        await service.start()
+        served = []
+        try:
+            for device_id in devices:
+                await service.submit(
+                    SendRequest(device_id=device_id, message=b"retrip")
+                )
+            for device_id in devices:
+                service.admission.readmit("shard-1")
+                received = await service.submit(
+                    ReceiveRequest(device_id=device_id)
+                )
+                served.append((received, dict(service.admission.tripped)))
+        finally:
+            await service.stop()
+        return served
+
+    for received, tripped in asyncio.run(scenario()):
+        assert "raw-ber-slo" in tripped.get("shard-1", "")
+        assert received.shard == "shard-0"
+        assert received.message == b"retrip"
 
 
 def test_probe_devices_never_enter_the_fleet_host():

@@ -171,6 +171,35 @@ def test_stats_shape():
         assert shard_stats["active_alerts"] == []
 
 
+def test_lane_registry_series_do_not_grow_with_devices_served():
+    def lane_series(service) -> int:
+        return sum(
+            len(instrument.series())
+            for shard in service.shards.values()
+            for instrument in shard.registry.instruments()
+        )
+
+    async def scenario():
+        service = FleetService(ServiceConfig(shards=2))
+        await service.start()
+        counts = []
+        try:
+            for index in range(32):
+                device_id = f"card-{index:02d}"
+                await service.submit(
+                    SendRequest(device_id=device_id, message=b"c")
+                )
+                await service.submit(ReceiveRequest(device_id=device_id))
+                if index + 1 in (8, 32):
+                    counts.append(lane_series(service))
+        finally:
+            await service.stop()
+        return counts
+
+    after_8, after_32 = run(scenario())
+    assert after_8 == after_32
+
+
 def test_client_rejects_bad_url():
     from repro.errors import ConfigurationError
 
