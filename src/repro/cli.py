@@ -582,18 +582,18 @@ def _cmd_load(args) -> int:
         stress_hours=args.stress_hours,
         idempotency=args.idempotency or args.restart_retries > 0,
     )
-    client = ServiceClient(
+    with ServiceClient(
         args.url,
         timeout=args.timeout,
         breaker=CircuitBreaker() if args.restart_retries > 0 else None,
-    )
-    report = generator.run_remote(
-        client,
-        args.messages,
-        concurrency=args.concurrency,
-        restart_retries=args.restart_retries,
-        restart_backoff_s=args.restart_backoff,
-    )
+    ) as client:
+        report = generator.run_remote(
+            client,
+            args.messages,
+            concurrency=args.concurrency,
+            restart_retries=args.restart_retries,
+            restart_backoff_s=args.restart_backoff,
+        )
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     ok = report.lost == 0 and report.mismatched == 0 and report.failed == 0
     if not ok:

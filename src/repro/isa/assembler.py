@@ -23,8 +23,11 @@ operands also accept ``hi(label)``/``lo(label)`` for address construction.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from ..errors import AssemblerError
 from .opcodes import (
@@ -44,11 +47,15 @@ _HILO_RE = re.compile(r"^(?P<which>hi|lo)\((?P<label>[A-Za-z_][A-Za-z0-9_]*)\)$"
 
 @dataclass(frozen=True)
 class Program:
-    """An assembled program: a flat image plus its symbol table."""
+    """An assembled program: a flat image plus its symbol table.
+
+    Immutable, ``symbols`` included (a read-only mapping): :func:`assemble`
+    hands the same cached instance to every device flashed with one text.
+    """
 
     image: bytes
     base_address: int
-    symbols: dict[str, int]
+    symbols: Mapping[str, int]
     entry_point: int
 
     @property
@@ -345,13 +352,25 @@ class _Assembler:
         return Program(
             image=bytes(image),
             base_address=self.base_address,
-            symbols=dict(self.symbols),
+            symbols=MappingProxyType(dict(self.symbols)),
             entry_point=entry,
         )
 
 
 def assemble(source: str, *, base_address: int = 0) -> Program:
-    """Assemble MiniCore source into a flat :class:`Program` image."""
+    """Assemble MiniCore source into a flat :class:`Program` image.
+
+    Memoized on ``(source, base_address)``: the protocol flashes the same
+    retention and camouflage texts for every message, so each is
+    assembled once per process.  The cache is small and bounded because
+    :func:`~repro.isa.programs.payload_writer_program` text is unique per
+    payload.  Bad source is never cached; it raises on every call.
+    """
+    return _assemble_cached(source, base_address)
+
+
+@functools.lru_cache(maxsize=16)
+def _assemble_cached(source: str, base_address: int) -> Program:
     asm = _Assembler(source, base_address)
     asm.first_pass()
     asm.second_pass()

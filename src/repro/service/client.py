@@ -2,7 +2,8 @@
 
 :class:`ServiceClient` is the synchronous wrapper over the service HTTP
 surface (stdlib ``http.client`` — the container has no requests library,
-and none is needed for a loopback control plane), hardened for restart
+and none is needed for a loopback control plane), reusing kept-alive
+connections from a thread-safe pool, and hardened for restart
 windows: per-call timeouts, capped-exponential retries on
 connection-level failures (reusing the repo-wide
 :class:`~repro.faults.RetryPolicy` schedule), and a per-endpoint
@@ -141,8 +142,16 @@ class CircuitBreaker:
 class ServiceClient:
     """Synchronous HTTP client for one service endpoint.
 
-    Each call opens a fresh connection (the server replies
-    ``Connection: close``); errors the service classified come back as
+    Calls reuse kept-alive connections from a lock-guarded pool of idle
+    ones, so one client may be shared by many threads; each call takes
+    an idle connection (or opens one) and returns it after reading the
+    whole response.  A reused connection that fails before a response
+    arrives — the server closed it or restarted — is re-sent once on a
+    fresh connection straight away, with no retry delay and no breaker
+    failure (the idempotency key makes the re-send safe).  :meth:`close`
+    (or leaving a ``with`` block) closes the idle connections.
+
+    Errors the service classified come back as
     the matching :mod:`repro.errors` type — 429 →
     :class:`~repro.errors.AdmissionError`, 5xx →
     :class:`~repro.errors.ServiceError`, connection-level failures →
@@ -173,28 +182,63 @@ class ServiceClient:
         self.breaker = breaker
         self._sleep = sleep
         self.retried = 0
+        self._idle: "list[HTTPConnection]" = []
+        self._pool_lock = threading.Lock()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the idle pooled connections.
+
+        Call it once no call is in flight.  The client stays usable: a
+        later call opens a fresh connection.
+        """
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connect(self) -> HTTPConnection:
+        return HTTPConnection(self.host, self.port, timeout=self.timeout)
 
     def _request_once(
         self, method: str, path: str, payload: "dict | None" = None
     ):
+        body = json.dumps(payload).encode() if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        traceparent = _traceparent_header()
+        if traceparent is not None:
+            headers[trace_ctx.TRACEPARENT_HEADER] = traceparent
         if self.breaker is not None:
             self.breaker.before_call()
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        with self._pool_lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if not reused:
+            conn = self._connect()
+
+        def exchange(conn):
+            conn.request(method, path, body=body, headers=headers)
+            return conn.getresponse()
+
         try:
             try:
-                body = (
-                    json.dumps(payload).encode() if payload is not None else None
-                )
-                headers = {"Content-Type": "application/json"} if body else {}
-                traceparent = _traceparent_header()
-                if traceparent is not None:
-                    headers[trace_ctx.TRACEPARENT_HEADER] = traceparent
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            finally:
+                response = exchange(conn)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # A kept connection the server has since closed (or a
+                # restarted server never knew): re-send on a fresh one.
                 conn.close()
+                conn = self._connect()
+                response = exchange(conn)
+            raw = response.read()
         except OSError as exc:
+            conn.close()
             if self.breaker is not None:
                 self.breaker.record_failure()
             raise ServiceUnavailableError(
@@ -206,9 +250,15 @@ class ServiceClient:
             # garbage response raising http.client.BadStatusLine) would
             # otherwise leak ``_half_open_busy`` and leave the breaker
             # raising CircuitOpenError forever.
+            conn.close()
             if self.breaker is not None:
                 self.breaker.record_failure()
             raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._pool_lock:
+                self._idle.append(conn)
         if self.breaker is not None:
             self.breaker.record_success()
         return response.status, raw
@@ -488,6 +538,9 @@ class LoadGenerator:
     ) -> LoadReport:
         """Threaded soak over HTTP (the CI smoke path).
 
+        The pool threads share ``client`` (and so its kept connections);
+        its idle connections are closed on return.
+
         ``restart_retries > 0`` makes the soak survive a service restart
         window: an op that hits a connection-level failure (reset,
         refused, circuit open — the kill-9 signature) backs off
@@ -569,8 +622,11 @@ class LoadGenerator:
                             errors.append(f"{device_id}: payload mismatch")
 
         start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            list(pool.map(one, range(n_messages)))
+        try:
+            with ThreadPoolExecutor(max_workers=concurrency) as pool:
+                list(pool.map(one, range(n_messages)))
+        finally:
+            client.close()
         elapsed = time.perf_counter() - start
         return LoadReport(
             messages=n_messages,

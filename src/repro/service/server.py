@@ -27,7 +27,11 @@ The control loop (docs/service.md):
 The optional HTTP frontend is hand-rolled over ``asyncio.start_server``
 (stdlib only): ``GET /metrics`` (Prometheus text via the process
 registry), ``GET /healthz``, ``GET /stats``, ``POST /send``,
-``POST /receive``, ``POST /shutdown``.
+``POST /receive``, ``POST /shutdown``.  Connections are HTTP/1.1
+keep-alive: each serves requests in order until the client asks to close
+(or speaks HTTP/1.0), a request is malformed, or the service drains;
+:meth:`FleetService.stop` closes the idle ones and lets in-flight
+requests answer first.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import pathlib
 import signal
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .. import metrics, telemetry
 from ..telemetry import context as trace_ctx
@@ -266,6 +271,10 @@ class FleetService:
         self._prober_task: "asyncio.Task | None" = None
         self._bg_tasks: "set[asyncio.Task]" = set()
         self._http_server: "asyncio.AbstractServer | None" = None
+        #: Open HTTP connections (writer → handler task), and the subset
+        #: waiting for their next request.
+        self._connections: "dict[asyncio.StreamWriter, asyncio.Task]" = {}
+        self._idle: "set[asyncio.StreamWriter]" = set()
         self.accepting = False
         self.started = False
         self._metrics_was_enabled = False
@@ -340,9 +349,7 @@ class FleetService:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         if self._http_server is not None:
-            self._http_server.close()
-            await self._http_server.wait_closed()
-            self._http_server = None
+            await self._close_http(abort=False)
         if self.journal is not None:
             self.journal.close()
         self.started = False
@@ -371,9 +378,7 @@ class FleetService:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         if self._http_server is not None:
-            self._http_server.close()
-            await self._http_server.wait_closed()
-            self._http_server = None
+            await self._close_http(abort=True)
         if self.journal is not None:
             self.journal.abandon()
         self.started = False
@@ -1003,100 +1008,103 @@ class FleetService:
     # -- HTTP frontend ------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        """Serve requests in order on one kept-alive connection.
+
+        The connection is *idle* while a request is being read: that is
+        when :meth:`_close_http` may close it.  Once read, the request is
+        answered even if the service starts stopping meanwhile; the
+        response then says ``Connection: close``.
+        """
+        self._connections[writer] = asyncio.current_task()
+        # A connection accepted just before _close_http ran may start
+        # only after it: it must not go idle past the close sweep.
+        server = self._http_server
         try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            try:
-                method, path, _ = request_line.decode("latin-1").split(" ", 2)
-            except ValueError:
-                await _respond(writer, 400, {"error": "malformed request"})
-                return
-            content_length = 0
-            bad_length = None
-            traceparent = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                header = line.decode("latin-1")
-                lowered = header.lower()
-                if lowered.startswith("content-length:"):
-                    value = header.split(":", 1)[1].strip()
-                    if value.isascii() and value.isdigit():
-                        content_length = int(value)
-                    else:
-                        bad_length = value
-                elif lowered.startswith(trace_ctx.TRACEPARENT_HEADER + ":"):
-                    traceparent = header.split(":", 1)[1].strip()
-            if bad_length is not None:
-                await _respond(
-                    writer,
-                    400,
-                    {"error": f"malformed Content-Length: {bad_length!r}"},
-                )
-                return
-            body = (
-                await reader.readexactly(content_length)
-                if content_length
-                else b""
-            )
-            await self._dispatch(writer, method, path, body, traceparent)
+            keep_alive = True
+            while keep_alive and server is not None and server.is_serving():
+                self._idle.add(writer)
+                try:
+                    request = await _read_request(reader)
+                finally:
+                    self._idle.discard(writer)
+                if request is None:
+                    return
+                if isinstance(request, str):
+                    response = _json_response(400, {"error": request})
+                    keep_alive = False
+                else:
+                    response = await self._dispatch(request)
+                    keep_alive = request.keep_alive
+                # Draining: answer, then close, so clients move on.
+                keep_alive = keep_alive and self.accepting
+                await _respond(writer, *response, keep_alive)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            del self._connections[writer]
             try:
                 writer.close()
                 await writer.wait_closed()
             except ConnectionError:
                 pass
 
-    async def _dispatch(
-        self,
-        writer,
-        method: str,
-        path: str,
-        body: bytes,
-        traceparent: "str | None" = None,
-    ):
+    async def _close_http(self, *, abort: bool) -> None:
+        """Stop listening and close every kept connection.
+
+        A graceful close shuts the idle connections and waits for the
+        ones serving a request to answer and close themselves.
+        ``abort=True`` drops every connection at once, as a crash would.
+        """
+        self._http_server.close()
+        for writer in list(self._connections):
+            if abort:
+                writer.transport.abort()
+            elif writer in self._idle:
+                writer.close()
+        if not abort:
+            await asyncio.gather(
+                *self._connections.values(), return_exceptions=True
+            )
+        await self._http_server.wait_closed()
+        self._http_server = None
+
+    async def _dispatch(self, request: "_Request") -> "tuple[int, bytes, str]":
+        """Route one request; returns ``(status, body, content type)``."""
+        method, path = request.method, request.path
         if method == "GET" and path == "/metrics":
-            await _respond_text(writer, 200, metrics.registry.expose())
-        elif method == "GET" and path == "/healthz":
+            return (
+                200,
+                metrics.registry.expose().encode(),
+                "text/plain; version=0.0.4",
+            )
+        if method == "GET" and path == "/healthz":
             healthy = self.admission.healthy
             status = "ok" if self.accepting and healthy else "draining"
-            await _respond(
-                writer,
+            return _json_response(
                 200 if status == "ok" else 503,
                 {"status": status, "healthy_shards": sorted(healthy)},
             )
-        elif method == "GET" and path == "/stats":
-            await _respond(writer, 200, self.stats())
-        elif method == "POST" and path in ("/send", "/receive"):
-            await self._handle_job(writer, path, body, traceparent)
-        elif method == "POST" and path == "/shutdown":
+        if method == "GET" and path == "/stats":
+            return _json_response(200, self.stats())
+        if method == "POST" and path in ("/send", "/receive"):
+            return await self._handle_job(request)
+        if method == "POST" and path == "/shutdown":
             asyncio.get_running_loop().call_soon(self.request_shutdown)
-            await _respond(writer, 200, {"status": "draining"})
-        else:
-            await _respond(writer, 404, {"error": f"no route {method} {path}"})
+            return _json_response(200, {"status": "draining"})
+        return _json_response(404, {"error": f"no route {method} {path}"})
 
-    async def _handle_job(
-        self,
-        writer,
-        path: str,
-        body: bytes,
-        traceparent: "str | None" = None,
-    ) -> None:
+    async def _handle_job(self, http: "_Request") -> "tuple[int, bytes, str]":
+        path = http.path
         try:
-            payload = json.loads(body.decode() or "{}")
+            payload = json.loads(http.body.decode() or "{}")
             cls = SendRequest if path == "/send" else ReceiveRequest
             request = cls.from_dict(payload)
         except (ValueError, KeyError, TypeError, ReproError) as exc:
-            await _respond(writer, 400, {"error": str(exc)})
-            return
+            return _json_response(400, {"error": str(exc)})
         # Ingress context: the traceparent header wins (its span id lets
         # the server span parent under the client's), then the request
         # body's trace_id, then a fresh trace for bare curl-style calls.
-        ctx = trace_ctx.from_traceparent(traceparent)
+        ctx = trace_ctx.from_traceparent(http.traceparent)
         with trace_ctx.trace_context(
             ctx.trace_id if ctx is not None else request.trace_id,
             ctx.span_id if ctx is not None else None,
@@ -1107,19 +1115,16 @@ class FleetService:
             try:
                 result = await self.submit(request)
             except AdmissionError as exc:
-                await _respond(
-                    writer, 429, {"error": str(exc), "shard": exc.shard}
+                return _json_response(
+                    429, {"error": str(exc), "shard": exc.shard}
                 )
             except ServiceStoppedError as exc:
-                await _respond(writer, 503, {"error": str(exc)})
+                return _json_response(503, {"error": str(exc)})
             except ReproError as exc:
-                await _respond(
-                    writer,
-                    500,
-                    {"error": str(exc), "type": type(exc).__name__},
+                return _json_response(
+                    500, {"error": str(exc), "type": type(exc).__name__}
                 )
-            else:
-                await _respond(writer, 200, result.to_dict())
+            return _json_response(200, result.to_dict())
 
     def request_shutdown(self) -> None:
         """Signal-safe shutdown request: stops admission, sets the event
@@ -1131,19 +1136,62 @@ class FleetService:
     _shutdown_event: "asyncio.Event | None" = None
 
 
-async def _respond(writer, status: int, payload: dict) -> None:
-    await _respond_raw(
-        writer,
-        status,
-        json.dumps(payload).encode(),
-        "application/json",
-    )
+class _Request(NamedTuple):
+    """One parsed HTTP request."""
+
+    method: str
+    path: str
+    body: bytes
+    traceparent: "str | None"
+    keep_alive: bool
 
 
-async def _respond_text(writer, status: int, text: str) -> None:
-    await _respond_raw(
-        writer, status, text.encode(), "text/plain; version=0.0.4"
-    )
+async def _read_request(reader) -> "_Request | str | None":
+    """Read one request off a connection.
+
+    Returns ``None`` at a clean end of stream and an error message for a
+    malformed request (answered 400, then the connection closes).
+    """
+    request_line = await reader.readline()
+    if not request_line:
+        return None
+    try:
+        method, path, version = request_line.decode("latin-1").split(" ", 2)
+    except ValueError:
+        return "malformed request"
+    # HTTP/1.1 connections persist unless asked otherwise; 1.0 ones close.
+    keep_alive = version.strip() == "HTTP/1.1"
+    content_length = 0
+    bad_length = None
+    traceparent = None
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length":
+            if value.isascii() and value.isdigit():
+                content_length = int(value)
+            else:
+                bad_length = value
+        elif name == trace_ctx.TRACEPARENT_HEADER:
+            traceparent = value
+        elif name == "connection" and "close" in value.lower():
+            keep_alive = False
+        elif name == "transfer-encoding":
+            # A chunked body is not read here, so whatever follows on
+            # the wire is not the start of a request.
+            keep_alive = False
+    if bad_length is not None:
+        return f"malformed Content-Length: {bad_length!r}"
+    body = await reader.readexactly(content_length) if content_length else b""
+    return _Request(method, path, body, traceparent, keep_alive)
+
+
+def _json_response(status: int, payload: dict) -> "tuple[int, bytes, str]":
+    return status, json.dumps(payload).encode(), "application/json"
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -1151,13 +1199,16 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             503: "Service Unavailable"}
 
 
-async def _respond_raw(writer, status: int, body: bytes, ctype: str) -> None:
+async def _respond(
+    writer, status: int, body: bytes, ctype: str, keep_alive: bool
+) -> None:
     reason = _REASONS.get(status, "OK")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {ctype}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n\r\n"
+        + ("" if keep_alive else "Connection: close\r\n")
+        + "\r\n"
     )
     writer.write(head.encode("latin-1") + body)
     await writer.drain()

@@ -7,7 +7,9 @@ active span, :func:`trace` hands back a shared no-op span and
 :meth:`repro.core.pipeline.InvisibleBits.receive`) pay one attribute
 lookup and a boolean test.  Attaching any sink (see
 :mod:`repro.telemetry.sinks`) turns every span and counter into an
-emitted record.
+emitted record.  Records are built only while a sink is attached: a
+forced span collecting decode provenance with no sink never serializes
+itself.
 
 Spans nest through a :class:`contextvars.ContextVar` stack, so they are
 correct in *both* concurrency regimes the code runs under:
@@ -297,57 +299,42 @@ class TelemetryRegistry:
                 parent = parent_stack[-1]
                 for key, value in span.counters.items():
                     parent.counters[key] = parent.counters.get(key, 0) + value
-            self._emit(span.to_record())
+            if self._sinks:
+                self._emit(span.to_record())
 
     def count(self, name: str, value: float = 1) -> None:
         """Bump a typed counter on the innermost span (and emit it)."""
         if self._muted_var.get():
             return
         stack = self._stack_var.get()
-        if not stack and not self._sinks:
-            return
         if stack:
             span = stack[-1]
             span.counters[name] = span.counters.get(name, 0) + value
-            span_id = span.span_id
-            trace_id = span.trace_id
-        else:
-            span_id = None
-            trace_id = trace_ctx.current_trace_id()
-        self._emit(
-            {
-                "type": "counter",
-                "name": name,
-                "ts": time.time(),
-                "value": _jsonable(value),
-                "span_id": span_id,
-                "trace_id": trace_id,
-            }
-        )
+        if self._sinks:
+            self._emit_point("counter", name, value, stack)
 
     def gauge(self, name: str, value) -> None:
         """Record an instantaneous measurement (also set as a span attr)."""
         if self._muted_var.get():
             return
         stack = self._stack_var.get()
-        if not stack and not self._sinks:
-            return
         if stack:
-            span = stack[-1]
-            span.attrs[name] = value
-            span_id = span.span_id
-            trace_id = span.trace_id
-        else:
-            span_id = None
-            trace_id = trace_ctx.current_trace_id()
+            stack[-1].attrs[name] = value
+        if self._sinks:
+            self._emit_point("gauge", name, value, stack)
+
+    def _emit_point(self, kind: str, name: str, value, stack: tuple) -> None:
+        span = stack[-1] if stack else None
         self._emit(
             {
-                "type": "gauge",
+                "type": kind,
                 "name": name,
                 "ts": time.time(),
                 "value": _jsonable(value),
-                "span_id": span_id,
-                "trace_id": trace_id,
+                "span_id": span.span_id if span else None,
+                "trace_id": (
+                    span.trace_id if span else trace_ctx.current_trace_id()
+                ),
             }
         )
 
@@ -360,6 +347,8 @@ class TelemetryRegistry:
         :class:`repro.telemetry.sinks.ConsoleSink`).  A no-op while no
         sink is attached, like every other emission.
         """
+        if not self._sinks:
+            return
         rec = dict(record)
         rec.setdefault("ts", time.time())
         self._emit(_jsonable(rec))

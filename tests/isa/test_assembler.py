@@ -132,3 +132,38 @@ class TestRoundTrip:
         for i, line in enumerate(src_lines):
             word = word_at(prog, 4 * i)
             assert disassemble_word(word, 4 * i) == line
+
+
+class TestMemoization:
+    def test_same_source_assembles_once(self):
+        src = "_start:\n    addi r1, r0, 7\n    halt\n"
+        first = assemble(src, base_address=0x100)
+        again = assemble(src, base_address=0x100)
+        assert again == first
+        assert again is first
+        other_base = assemble(src, base_address=0x200)
+        assert other_base is not first
+        assert other_base.entry_point == 0x200
+
+    def test_symbols_are_read_only(self):
+        prog = assemble("start:\n    jmp start\n")
+        with pytest.raises(TypeError):
+            prog.symbols["start"] = 4
+        assert prog.symbols == {"start": 0}
+        assert assemble("start:\n    jmp start\n").symbols["start"] == 0
+
+    def test_bad_source_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(AssemblerError, match="line 2"):
+                assemble("nop\nbogus r1\n")
+
+    def test_cache_stays_bounded(self):
+        from repro.isa.assembler import _assemble_cached
+
+        # Payload-writer text is unique per payload: distinct sources
+        # must evict, not accumulate.
+        for value in range(100):
+            assemble(f"addi r1, r0, {value}\n")
+        info = _assemble_cached.cache_info()
+        assert info.maxsize is not None and info.maxsize < 100
+        assert info.currsize <= info.maxsize

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from repro.api import SendRequest
@@ -163,6 +168,145 @@ class TestClientRetries:
     def test_bad_url_rejected(self):
         with pytest.raises(ConfigurationError):
             ServiceClient("http://")
+
+
+class _OneRequestPerConnection(BaseHTTPRequestHandler):
+    """Answers one request as keep-alive, then closes the connection
+    anyway: what a client sees when the server drops an idle kept
+    connection (a drain, a restart)."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        body = json.dumps({"ok": True}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.server.connections += 1
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class _Echo(BaseHTTPRequestHandler):
+    """Keep-alive server answering each GET with its own path."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        body = json.dumps({"path": self.path}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    server.connections = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def dropping_server():
+    yield from _serve(_OneRequestPerConnection)
+
+
+@pytest.fixture
+def echo_server():
+    yield from _serve(_Echo)
+
+
+class TestConnectionPool:
+    def test_stale_connection_resent_without_breaker_failure(
+        self, dropping_server
+    ):
+        sleeps: "list[float]" = []
+        breaker = CircuitBreaker(threshold=1, clock=FakeClock())
+        with ServiceClient(
+            f"http://127.0.0.1:{dropping_server.server_port}",
+            timeout=5,
+            retry=RetryPolicy.none(),
+            breaker=breaker,
+            sleep=sleeps.append,
+        ) as client:
+            pooled = []
+            for _ in range(3):
+                assert client.stats() == {"ok": True}
+                pooled.extend(client._idle)
+            # Every call after the first took the kept connection, found
+            # it closed and went straight to a fresh one: no retry, no
+            # delay, and a one-failure breaker never opened.
+            assert len(pooled) == len(set(map(id, pooled))) == 3
+            assert dropping_server.connections == 3
+            assert client.retried == 0
+            assert sleeps == []
+            assert breaker.state == "closed" and breaker.opens == 0
+
+    def test_threads_sharing_a_client_never_share_a_connection(
+        self, echo_server
+    ):
+        # A connection handed to two threads at once would interleave
+        # their requests and cross their answers.
+        client = ServiceClient(
+            f"http://127.0.0.1:{echo_server.server_port}",
+            timeout=5,
+            retry=RetryPolicy.none(),
+        )
+        errors: "list[str]" = []
+
+        def caller(worker: int) -> None:
+            for call in range(25):
+                path = f"/w{worker}/c{call}"
+                try:
+                    status, raw = client._request("GET", path)
+                except Exception as exc:  # reported below, not lost
+                    errors.append(f"{path}: {exc!r}")
+                    continue
+                if status != 200 or json.loads(raw)["path"] != path:
+                    errors.append(f"{path}: {status} {raw!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert 1 <= len(client._idle) <= 8
+        client.close()
+        assert client._idle == []
+
+    def test_close_leaves_no_open_socket(self, dropping_server):
+        client = ServiceClient(
+            f"http://127.0.0.1:{dropping_server.server_port}", timeout=5
+        )
+        client.stats()
+        pooled = list(client._idle)
+        assert [conn.sock is not None for conn in pooled] == [True]
+        client.close()
+        assert client._idle == []
+        assert all(conn.sock is None for conn in pooled)
 
 
 class TestIdempotencyKeys:

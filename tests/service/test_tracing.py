@@ -106,12 +106,12 @@ def live_service(tmp_path_factory):
     )
     thread.start()
     assert ready.wait(timeout=15), "service never came up"
-    client = ServiceClient(f"http://127.0.0.1:{box['service'].port}")
-    yield client
-    try:
-        client.shutdown()
-    except (ServiceError, OSError):
-        pass
+    with ServiceClient(f"http://127.0.0.1:{box['service'].port}") as client:
+        yield client
+        try:
+            client.shutdown()
+        except (ServiceError, OSError):
+            pass
     thread.join(timeout=30)
     assert not thread.is_alive(), "serve_forever failed to drain and exit"
 

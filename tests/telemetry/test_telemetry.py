@@ -35,6 +35,22 @@ class TestDisabledByDefault:
         telemetry.count("nothing", 1)
         telemetry.gauge("nothing", 2.0)
 
+    def test_sinkless_forced_spans_build_no_records(self, monkeypatch):
+        from repro.telemetry import core
+
+        def boom(*args, **kwargs):
+            raise AssertionError("record built with no sink attached")
+
+        monkeypatch.setattr(core.Span, "to_record", boom)
+        monkeypatch.setattr(core, "_jsonable", boom)
+        with telemetry.trace("outer", force=True) as outer:
+            with telemetry.trace("inner", device=b"\x01"):
+                telemetry.count("things", np.int64(3))
+                telemetry.gauge("level", np.float64(0.5))
+            telemetry.emit_record({"type": "alert", "value": np.int64(1)})
+        # The forced span still collected everything it would have emitted.
+        assert outer.counters == {"things": 3}
+
     def test_null_span_is_shared(self):
         with telemetry.trace("a") as s1:
             pass
