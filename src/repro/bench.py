@@ -16,18 +16,24 @@ trail:
 Snapshot schema (``"schema": 1``)::
 
     {"schema": 1, "ts": 1754000000.0, "git_sha": "2c63777",
+     "machine": {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6"},
      "metrics": {"batch_capture_speedup": {"value": 11.2,
                  "better": "higher", "unit": "x"}, ...}}
 
 ``better`` declares the metric's good direction so the gate can tell a
 5x speedup from a 5x slowdown; wall-time metrics are ``"lower"``,
-throughput/speedup metrics are ``"higher"``.
+throughput/speedup metrics are ``"higher"``.  ``machine`` (absent from
+older snapshots) says where the numbers were taken; a comparison across
+different machines warns, since wall times and speedups do not transfer,
+but never gates on it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -40,6 +46,7 @@ __all__ = [
     "compare_snapshots",
     "current_git_sha",
     "load_snapshot",
+    "machine_metadata",
     "make_snapshot",
     "render_comparison",
     "write_snapshot",
@@ -65,13 +72,25 @@ def current_git_sha(cwd=None) -> "str | None":
     return out.stdout.strip() or None
 
 
+def machine_metadata() -> dict:
+    """The core count and Python/numpy versions a snapshot was taken on."""
+    import numpy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def make_snapshot(
     metrics: dict, *, ts: "float | None" = None, git_sha: "str | None" = None
 ) -> dict:
     """Build a schema-1 snapshot from ``{name: {"value", "better", "unit"}}``.
 
     Metric entries may also be bare numbers, normalized to
-    ``better="lower"`` (the safe default for wall times).
+    ``better="lower"`` (the safe default for wall times).  The snapshot
+    records :func:`machine_metadata`.
     """
     normalized = {}
     for name, entry in metrics.items():
@@ -91,6 +110,7 @@ def make_snapshot(
         "schema": SCHEMA_VERSION,
         "ts": time.time() if ts is None else float(ts),
         "git_sha": git_sha if git_sha is not None else current_git_sha(),
+        "machine": machine_metadata(),
         "metrics": normalized,
     }
 
@@ -146,6 +166,9 @@ class BenchComparison:
     old_sha: "str | None" = None
     new_sha: "str | None" = None
     regressions: "tuple[MetricDelta, ...]" = field(default=())
+    #: Machine metadata both snapshots record but disagree on, as
+    #: ``"key: old -> new"``; informational, never gates.
+    machine_diffs: "tuple[str, ...]" = ()
 
     @property
     def ok(self) -> bool:
@@ -207,12 +230,18 @@ def compare_snapshots(old: dict, new: dict, *, gate_pct: float = 20.0) -> BenchC
         deltas.append(delta)
         if status == "regressed":
             regressions.append(delta)
+    old_machine, new_machine = old.get("machine") or {}, new.get("machine") or {}
     return BenchComparison(
         deltas=tuple(deltas),
         gate_pct=float(gate_pct),
         old_sha=old.get("git_sha"),
         new_sha=new.get("git_sha"),
         regressions=tuple(regressions),
+        machine_diffs=tuple(
+            f"{key}: {old_machine[key]} -> {new_machine[key]}"
+            for key in sorted(set(old_machine) & set(new_machine))
+            if old_machine[key] != new_machine[key]
+        ),
     )
 
 
@@ -248,6 +277,12 @@ def render_comparison(comparison: BenchComparison) -> str:
     ]
     for row in rows:
         lines.append("  ".join(str(c).ljust(widths[i]) for i, c in enumerate(row)))
+    if comparison.machine_diffs:
+        lines.append(
+            "warning: snapshots come from different machines ("
+            + "; ".join(comparison.machine_diffs)
+            + "); wall times and speedups may not compare"
+        )
     shas = ""
     if comparison.old_sha or comparison.new_sha:
         shas = f" ({comparison.old_sha or '?'} -> {comparison.new_sha or '?'})"

@@ -6,7 +6,12 @@ the staged payload.  :func:`capture_fleet` is the tray orchestration around
 the engine in :mod:`repro.sram.array`: every board plans its burst
 (:meth:`ControlBoard.plan_fleet_capture`), :func:`~repro.sram.array.run_bursts`
 evaluates all planned slots in one kernel call with each device's noise
-drawn from its own generator, and each slot is voted and scored.  Results
+drawn from its own generator — the kernel concatenates the slots' noise
+bands into chunks and evaluates one row per capture index across a chunk
+of slots — and each slot is voted and scored.  The inverted states the
+scores were taken on ride along (:attr:`FleetCapture.recovered`), so a
+receive group's decode (:func:`repro.core.pipeline.decode_states`)
+reuses them.  Results
 are bit-identical to measuring the boards one by one, for any worker
 count, device order or tray composition.  Slots the engine cannot plan — a
 fault injector is attached, or remanence could reach the first capture —
@@ -37,7 +42,8 @@ class FleetCapture:
     """Per-slot results of one tray-wide capture burst.
 
     ``states`` holds each slot's majority-voted power-on state;
-    ``errors`` the channel error against the staged payloads (``None``
+    ``errors`` the channel error against the staged payloads and
+    ``recovered`` the inverted states it was scored on (both ``None``
     when no payloads were given); ``frames`` the full
     ``(n_captures, n_bits)`` capture stacks (on request only — the
     measurement path never materializes them).  ``vectorized[i]`` says
@@ -54,6 +60,7 @@ class FleetCapture:
     attempts: "tuple[int, ...]"
     slot_errors: "tuple[Exception | None, ...]"
     n_captures: int
+    recovered: "list[np.ndarray | None] | None" = None
 
     @property
     def kernel_slots(self) -> int:
@@ -99,6 +106,7 @@ def capture_fleet(
     states: "list[np.ndarray | None]" = [None] * n_slots
     frames: "list[np.ndarray | None]" = [None] * n_slots
     errors: "list[float | None]" = [None] * n_slots
+    recovered: "list[np.ndarray | None]" = [None] * n_slots
     bursts: list = [None] * n_slots
     attempts = [1] * n_slots
     slot_errors: "list[Exception | None]" = [None] * n_slots
@@ -156,7 +164,8 @@ def capture_fleet(
         per_device_ber = []
         for i in range(n_slots):
             if states[i] is not None and payloads is not None:
-                errors[i] = bit_error_rate(payloads[i], invert_bits(states[i]))
+                recovered[i] = invert_bits(states[i])
+                errors[i] = bit_error_rate(payloads[i], recovered[i])
                 per_device_ber.append([boards[i].device.spec.name, errors[i]])
 
         span.set(
@@ -182,4 +191,5 @@ def capture_fleet(
         attempts=tuple(attempts),
         slot_errors=tuple(slot_errors),
         n_captures=n_captures,
+        recovered=recovered if payloads is not None else None,
     )

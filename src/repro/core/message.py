@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bitutils import as_bit_array, bits_to_bytes, bytes_to_bits
-from ..ecc.base import Code, IdentityCode
+from ..ecc.base import Code, IdentityCode, emit_counts
 from ..ecc.repetition import RepetitionCode
 from ..errors import CapacityError, ConfigurationError, ExtractionError
 
@@ -52,8 +52,16 @@ class FrameFormat:
         return self._header_code().encode(raw)
 
     def decode_header(self, bits: np.ndarray) -> int:
-        raw = self._header_code().decode(bits)
-        return int.from_bytes(bits_to_bytes(raw), "big")
+        lengths, counts = self.decode_headers(as_bit_array(bits)[None, :])
+        emit_counts((name, values[0]) for name, values in counts)
+        return lengths[0]
+
+    def decode_headers(self, rows: np.ndarray) -> "tuple[list[int], list]":
+        """Decode a ``(rows, header_bits)`` stack of headers at once:
+        message lengths plus the header code's per-row counters
+        (:meth:`~repro.ecc.base.Code.decode_rows`)."""
+        raw, counts = self._header_code().decode_rows(rows)
+        return np.packbits(raw, axis=1).view(">u4").ravel().tolist(), counts
 
     def decode_header_soft(self, llrs: np.ndarray) -> int:
         """Soft-combine the header's repetition copies (sum of LLRs)."""
@@ -112,34 +120,97 @@ def extract_message(
     """Post-process recovered payload bits back into message bytes.
 
     ``message_len`` overrides the header in raw mode (and is required
-    there); in framed mode the header is authoritative.
+    there); in framed mode the header is authoritative.  The one-row case
+    of :func:`extract_messages`; emits the decode's ``ecc.*`` counters.
     """
-    bits = as_bit_array(payload_bits)
+    messages, counts = extract_messages(
+        [payload_bits], ecc=ecc, frame=frame, message_lens=[message_len]
+    )
+    emit_counts(counts[0])
+    if isinstance(messages[0], ExtractionError):
+        raise messages[0]
+    return messages[0]
+
+
+def _stacked(
+    rows: "list[np.ndarray]", members: "list[int]", start: int, stop: int
+) -> np.ndarray:
+    """``rows[i][start:stop]`` for each member, as one ``(members, stop -
+    start)`` array (a view for one member)."""
+    if len(members) == 1:
+        return rows[members[0]][None, start:stop]
+    return np.stack([rows[i][start:stop] for i in members])
+
+
+def extract_messages(
+    payloads: "list[np.ndarray]",
+    *,
+    ecc: "Code | None" = None,
+    frame: "FrameFormat | None" = None,
+    message_lens: "list[int | None] | None" = None,
+) -> "tuple[list[bytes | ExtractionError], list[list[tuple[str, int]]]]":
+    """Row-wise :func:`extract_message` over payloads of any lengths.
+
+    All headers decode in one stacked pass, then the bodies in one stacked
+    ECC pass per message length.  Returns, per row, the message — or the
+    :class:`ExtractionError` that row alone fails with — and the
+    ``ecc.*`` counters its one-row decode emits, as ``(name, value)``
+    pairs in emission order.  Nothing is emitted here.
+    """
     code = ecc or IdentityCode()
     frame = frame or FrameFormat()
+    rows = [as_bit_array(bits) for bits in payloads]
+    lens = [None] * len(rows) if message_lens is None else list(message_lens)
+    messages: "list[bytes | ExtractionError | None]" = [None] * len(rows)
+    counts: "list[list[tuple[str, int]]]" = [[] for _ in rows]
 
+    start = frame.header_bits
     if frame.framed:
-        if bits.size < frame.header_bits:
-            raise ExtractionError("payload shorter than the frame header")
-        length = frame.decode_header(bits[: frame.header_bits])
-        body = bits[frame.header_bits :]
-    else:
-        if message_len is None:
-            raise ExtractionError("raw mode needs the pre-shared message length")
-        length = message_len
-        body = bits
+        framed = []
+        for i, bits in enumerate(rows):
+            if bits.size < start:
+                messages[i] = ExtractionError("payload shorter than the frame header")
+            else:
+                framed.append(i)
+        if framed:
+            decoded, header_counts = frame.decode_headers(
+                _stacked(rows, framed, 0, start)
+            )
+            for j, i in enumerate(framed):
+                lens[i] = decoded[j]
+                counts[i] = [(name, values[j]) for name, values in header_counts]
 
-    data_bits_padded = -(-length * 8 // code.k) * code.k
-    coded_bits = data_bits_padded // code.k * code.n
-    if coded_bits > body.size:
-        raise ExtractionError(
-            f"header claims {length} bytes but only {body.size} coded bits "
-            "are present — header corrupted beyond repair?"
-        )
-    decoded = (
-        code.decode(body[:coded_bits]) if coded_bits else np.zeros(0, dtype=np.uint8)
-    )
-    return bits_to_bytes(decoded[: length * 8]) if length else b""
+    k, n = code.k, code.n
+    by_length: "dict[int, list[int]]" = {}
+    for i, length in enumerate(lens):
+        if messages[i] is not None:
+            continue
+        if length is None:
+            messages[i] = ExtractionError(
+                "raw mode needs the pre-shared message length"
+            )
+        elif length < 0:
+            messages[i] = ExtractionError(f"negative message length {length}")
+        elif -(-length * 8 // k) * n > rows[i].size - start:
+            messages[i] = ExtractionError(
+                f"header claims {length} bytes but only {rows[i].size - start} "
+                "coded bits are present — header corrupted beyond repair?"
+            )
+        else:
+            by_length.setdefault(length, []).append(i)
+
+    for length, members in by_length.items():
+        if not length:
+            for i in members:
+                messages[i] = b""
+            continue
+        stop = start - (-length * 8 // k) * n
+        bits, body_counts = code.decode_rows(_stacked(rows, members, start, stop))
+        packed = np.packbits(bits[:, : length * 8], axis=1)
+        for j, i in enumerate(members):
+            messages[i] = packed[j].tobytes()
+            counts[i] += [(name, values[j]) for name, values in body_counts]
+    return messages, counts
 
 
 def extract_message_soft(

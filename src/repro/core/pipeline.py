@@ -6,7 +6,10 @@ control-board automation:
 - :meth:`InvisibleBits.send` — Algorithm 1: ECC, encrypt, generate the
   payload-writer firmware, stress at the device's recipe;
 - :meth:`InvisibleBits.receive` — Algorithm 2: capture N power-on states,
-  majority vote, invert, decrypt, ECC-decode.
+  majority vote, invert, decrypt, ECC-decode;
+- :func:`decode_states` — the post-capture half of Algorithm 2 for many
+  already-voted states at once (the service's receive groups): one
+  stacked header decode and one stacked ECC pass per message length.
 
 Both ends must construct the scheme from the same pre-shared parameters —
 exactly the paper's assumption (footnote 3).  The pre-shared bundle is a
@@ -23,8 +26,10 @@ records.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from ..bitutils import (
     most_marginal_row,
 )
 from ..crypto.ctr import AesCtr
-from ..ecc.base import Code
+from ..ecc.base import Code, emit_counts
 from ..ecc.soft import estimate_p_flip, votes_to_llrs
 from ..errors import (
     CodecError,
@@ -57,8 +62,8 @@ from ..harness.controlboard import ControlBoard
 from .message import (
     FrameFormat,
     build_payload,
-    extract_message,
     extract_message_soft,
+    extract_messages,
 )
 from .scheme import CodingScheme
 
@@ -412,25 +417,7 @@ class InvisibleBits:
         self, state: np.ndarray, message_len: "int | None"
     ) -> "tuple[bytes, np.ndarray, int]":
         """Invert, decrypt and ECC-decode one voted state."""
-        recovered = invert_bits(state)
-        cipher = self._cipher()
-        with telemetry.trace("channel.decrypt", encrypted=cipher is not None):
-            plain = cipher.process_bits(recovered) if cipher else recovered
-        with telemetry.trace(
-            "channel.ecc_decode",
-            code=self.ecc.name if self.ecc is not None else "identity",
-        ) as ecc_span:
-            message = extract_message(
-                plain, ecc=self.ecc, frame=self.frame, message_len=message_len
-            )
-            corrections = int(
-                sum(
-                    count
-                    for name, count in ecc_span.counters.items()
-                    if name.endswith(".corrections")
-                )
-            )
-        return message, recovered, corrections
+        return _decode_rows([self], [state], [message_len])[0].replay(self.ecc)
 
     def _attempt_decode_soft(
         self,
@@ -514,46 +501,78 @@ class InvisibleBits:
         unknowable from a voted state alone, so the decode falls back to
         hard decisions — exactly the soft decode of saturated LLRs.
         """
+        if self.scheme.decision != "soft" or ones is None:
+            (finish,) = decode_states(
+                [self],
+                [state],
+                message_lens=[message_len],
+                expected_payloads=[expected_payload],
+                n_captures=n_captures,
+            )
+            return finish()
         votes = self.n_captures if n_captures is None else int(n_captures)
-        soft = self.scheme.decision == "soft" and ones is not None
-        p_flip_est = (
-            estimate_p_flip(() if p_flip is None else (p_flip,)) if soft else None
-        )
+        p_flip_est = estimate_p_flip(() if p_flip is None else (p_flip,))
         with telemetry.trace(
             "channel.decode_state", force=True, **self._span_attrs()
         ) as span:
-            if soft:
-                message, recovered, corrections = self._attempt_decode_soft(
-                    state, ones, votes, p_flip_est, message_len
-                )
-            else:
-                message, recovered, corrections = self._attempt_decode(
-                    state, message_len
-                )
-            raw_error = None
-            if expected_payload is not None:
-                raw_error = bit_error_rate(expected_payload, recovered)
-            span.set(
-                n_captures=votes,
-                raw_error_vs=raw_error,
-                ecc_corrections=corrections,
-                message_bytes=len(message),
-                decision="soft" if soft else "hard",
+            decoded = self._attempt_decode_soft(
+                state, ones, votes, p_flip_est, message_len
             )
-            _MESSAGES_TOTAL.inc(
-                phase="receive", device=self.board.device.spec.name
+            raw_error = (
+                None
+                if expected_payload is None
+                else bit_error_rate(expected_payload, decoded[1])
             )
-            return DecodeResult(
-                message=message,
-                power_on_state=state,
-                recovered_payload=recovered,
-                n_captures=votes,
-                raw_error_vs=raw_error,
-                ecc_corrections=corrections,
-                decision="soft" if soft else "hard",
-                p_flip_estimate=p_flip_est,
-                total_captures=votes,
+            return self._decoded_state(
+                span, state, decoded, votes=votes, raw_error=raw_error,
+                p_flip_est=p_flip_est,
             )
+
+    def _finish_decode_state(
+        self, state: np.ndarray, row: "_RowDecode", votes: int, raw_error
+    ) -> DecodeResult:
+        """One row of :func:`decode_states`: its forced span and result."""
+        with telemetry.trace(
+            "channel.decode_state", force=True, **self._span_attrs()
+        ) as span:
+            return self._decoded_state(
+                span, state, row.replay(self.ecc), votes=votes, raw_error=raw_error
+            )
+
+    def _decoded_state(
+        self,
+        span,
+        state: np.ndarray,
+        decoded: "tuple[bytes, np.ndarray, int]",
+        *,
+        votes: int,
+        raw_error: "float | None",
+        p_flip_est: "float | None" = None,
+    ) -> DecodeResult:
+        """Stamp a ``channel.decode_state`` span with the decode of
+        ``state`` — ``(message, recovered payload, corrections)``, soft
+        when ``p_flip_est`` is set — and build its result."""
+        message, recovered, corrections = decoded
+        decision = "hard" if p_flip_est is None else "soft"
+        span.set(
+            n_captures=votes,
+            raw_error_vs=raw_error,
+            ecc_corrections=corrections,
+            message_bytes=len(message),
+            decision=decision,
+        )
+        _MESSAGES_TOTAL.inc(phase="receive", device=self.board.device.spec.name)
+        return DecodeResult(
+            message=message,
+            power_on_state=state,
+            recovered_payload=recovered,
+            n_captures=votes,
+            raw_error_vs=raw_error,
+            ecc_corrections=corrections,
+            decision=decision,
+            p_flip_estimate=p_flip_est,
+            total_captures=votes,
+        )
 
     def decode_captures(
         self,
@@ -810,3 +829,119 @@ class InvisibleBits:
         :func:`repro.io.load_captures`.
         """
         return self.board.capture_power_on_states(n or self.n_captures)
+
+
+class _RowDecode(NamedTuple):
+    """One voted state's share of a stacked decode (:func:`_decode_rows`)."""
+
+    recovered: np.ndarray
+    encrypted: bool
+    message: "bytes | ExtractionError"
+    counts: "list[tuple[str, int]]"
+
+    def replay(self, ecc: "Code | None") -> "tuple[bytes, np.ndarray, int]":
+        """Emit the row's ``channel.decrypt`` and ``channel.ecc_decode``
+        spans and ``ecc.*`` counters as a one-state decode would; return
+        ``(message, recovered payload, ECC corrections)`` or raise the
+        row's :class:`~repro.errors.ExtractionError`."""
+        with telemetry.trace("channel.decrypt", encrypted=self.encrypted):
+            pass
+        with telemetry.trace(
+            "channel.ecc_decode", code=ecc.name if ecc is not None else "identity"
+        ):
+            emit_counts(self.counts)
+            if isinstance(self.message, ExtractionError):
+                raise self.message
+        corrections = int(
+            sum(value for name, value in self.counts if name.endswith(".corrections"))
+        )
+        return self.message, self.recovered, corrections
+
+
+def _decode_rows(
+    channels: "list[InvisibleBits]",
+    states: "list[np.ndarray]",
+    message_lens: "list[int | None]",
+    recovered: "list[np.ndarray] | None" = None,
+) -> "list[_RowDecode]":
+    """Invert (unless ``recovered`` already holds the inverted states) and
+    decrypt each state with its own device's cipher, then extract every
+    message in one stacked pass per coding scheme."""
+    if recovered is None:
+        recovered = [invert_bits(state) for state in states]
+    ciphers = [channel._cipher() for channel in channels]
+    plains = [
+        cipher.process_bits(bits) if cipher is not None else bits
+        for cipher, bits in zip(ciphers, recovered)
+    ]
+    groups: "dict[int, list[int]]" = {}
+    for i, channel in enumerate(channels):
+        groups.setdefault(id(channel.scheme), []).append(i)
+    outcomes: list = [None] * len(channels)
+    for members in groups.values():
+        scheme = channels[members[0]].scheme
+        messages, counts = extract_messages(
+            [plains[i] for i in members],
+            ecc=scheme.ecc,
+            frame=scheme.frame,
+            message_lens=[message_lens[i] for i in members],
+        )
+        for i, message, row_counts in zip(members, messages, counts):
+            outcomes[i] = _RowDecode(
+                recovered[i], ciphers[i] is not None, message, row_counts
+            )
+    return outcomes
+
+
+def decode_states(
+    channels: "list[InvisibleBits]",
+    states: "list[np.ndarray]",
+    *,
+    message_lens: "list[int | None] | None" = None,
+    expected_payloads: "list[np.ndarray | None] | None" = None,
+    raw_errors: "list[float | None] | None" = None,
+    recovered: "list[np.ndarray] | None" = None,
+    n_captures: "int | None" = None,
+) -> "list[Callable[[], DecodeResult]]":
+    """Hard-decode many already-voted power-on states at once.
+
+    ``states[i]`` is the majority state captured from ``channels[i]``'s
+    board.  Each state is inverted and decrypted with its own device's
+    cipher; then every message is extracted in one stacked pass —
+    headers together, bodies in one ECC pass per message length — instead
+    of one decode per state.  A fleet capture has already inverted the
+    states and scored them against the staged payloads: pass
+    ``recovered=fleet.recovered`` and ``raw_errors=fleet.errors`` (the
+    same arrays and doubles) instead of recomputing them; otherwise the
+    errors are computed against ``expected_payloads``.
+
+    Returns one *finisher* per state.  Calling it — inside that request's
+    own trace context — opens the state's forced ``channel.decode_state``
+    span with its nested ``channel.decrypt``/``channel.ecc_decode`` spans
+    and ``ecc.*`` counters, and returns the :class:`DecodeResult` or
+    raises the :class:`~repro.errors.ExtractionError` that state alone
+    failed with: exactly what :meth:`InvisibleBits.decode_state` (whose
+    hard path is the one-state case) records and returns.
+    """
+    n = len(states)
+    rows = _decode_rows(
+        channels,
+        states,
+        [None] * n if message_lens is None else message_lens,
+        recovered,
+    )
+    finishers = []
+    for i, (channel, state, row) in enumerate(zip(channels, states, rows)):
+        if raw_errors is not None:
+            raw_error = raw_errors[i]
+        elif expected_payloads is not None and expected_payloads[i] is not None:
+            raw_error = bit_error_rate(expected_payloads[i], row.recovered)
+        else:
+            raw_error = None
+        votes = channel.n_captures if n_captures is None else int(n_captures)
+        finishers.append(
+            functools.partial(
+                channel._finish_decode_state, state, row, votes, raw_error
+            )
+        )
+    return finishers

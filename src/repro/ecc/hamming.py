@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import telemetry
 from ..errors import ConfigurationError
 from .base import Code
 
@@ -49,6 +48,10 @@ class HammingCode(Code):
         self._data_positions = np.array(
             [p for p in positions if (p & (p - 1)) != 0]
         )
+        self._data_columns = self._data_positions - 1
+        #: Syndrome bit i weighs 2**i: the syndrome's value is the 1-based
+        #: position of a single error (column j of H is j + 1 in binary).
+        self._syndrome_weights = np.int64(1) << np.arange(r, dtype=np.int64)
         self.name = f"hamming({self._n},{self._k})"
 
     @property
@@ -71,18 +74,21 @@ class HammingCode(Code):
         return code.ravel()
 
     def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
-        blocks = bits.reshape(-1, self._n).copy()
-        syndrome = (blocks @ self._h.T) % 2  # (n_blocks, r)
-        error_pos = (syndrome.astype(np.int64) << np.arange(self.r)).sum(axis=1)
+        return self._decode_one_row(code)
+
+    def _decode_rows(self, rows) -> "tuple[np.ndarray, list]":
+        n_rows, per_row = rows.shape[0], rows.shape[1] // self._n
+        blocks = rows.reshape(-1, self._n).copy()
+        error_pos = ((blocks @ self._h.T) % 2) @ self._syndrome_weights
         has_error = error_pos > 0
-        rows = np.nonzero(has_error)[0]
-        cols = error_pos[rows] - 1
-        blocks[rows, cols] ^= 1
-        if telemetry.active():
-            telemetry.count("ecc.hamming.corrections", int(rows.size))
-            telemetry.count("ecc.hamming.blocks", int(blocks.shape[0]))
-        return blocks[:, self._data_positions - 1].ravel()
+        fixed = np.flatnonzero(has_error)
+        blocks[fixed, error_pos[fixed] - 1] ^= 1
+        counts = [
+            ("ecc.hamming.corrections", has_error.reshape(n_rows, per_row).sum(axis=1)),
+            ("ecc.hamming.blocks", [per_row] * n_rows),
+        ]
+        data = blocks[:, self._data_columns]
+        return data.reshape(n_rows, per_row * self._k), counts
 
 
 def hamming_7_4() -> HammingCode:

@@ -46,8 +46,12 @@ class ConcatenatedCode(Code):
         return self.inner.encode(self.outer.encode(bits))
 
     def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
-        return self.outer.decode(self.inner.decode(bits))
+        return self._decode_one_row(code)
+
+    def _decode_rows(self, rows) -> "tuple[np.ndarray, list]":
+        middle, inner_counts = self.inner._decode_rows(rows)
+        bits, outer_counts = self.outer._decode_rows(middle)
+        return bits, inner_counts + outer_counts
 
 
 def paper_end_to_end_code(copies: int = 7) -> ConcatenatedCode:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import telemetry
-from ..bitutils import majority_vote
 from ..errors import ConfigurationError
 from .base import Code
 
@@ -49,26 +47,26 @@ class RepetitionCode(Code):
         return np.repeat(bits, self.copies)
 
     def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
+        return self._decode_one_row(code)
+
+    def _decode_rows(self, rows) -> "tuple[np.ndarray, list]":
+        n_rows = rows.shape[0]
         if self.layout == "block":
-            samples = bits.reshape(self.copies, -1)
-            voted = majority_vote(samples)
+            samples, axis = rows.reshape(n_rows, self.copies, -1), 1
         else:
-            samples = bits.reshape(-1, self.copies).T
-            voted = majority_vote(samples)
-        if telemetry.active():
-            # Two different units, kept apart: ``overruled`` counts every
-            # copy the vote outvoted (the paper's per-copy disagreement
-            # accounting), ``corrections`` counts data bits that needed
-            # repair at all — the unit Hamming's per-block corrections
-            # use, so the pipeline's ``*.corrections`` total is coherent.
-            overruled = samples != voted[None, :]
-            telemetry.count(
-                "ecc.repetition.overruled", int(np.count_nonzero(overruled))
-            )
-            telemetry.count(
-                "ecc.repetition.corrections",
-                int(np.count_nonzero(overruled.any(axis=0))),
-            )
-            telemetry.count("ecc.repetition.bits", int(voted.size))
-        return voted
+            samples, axis = rows.reshape(n_rows, -1, self.copies), 2
+        ones = samples.sum(axis=axis, dtype=np.int64)
+        voted = (2 * ones >= self.copies).astype(np.uint8)
+        # Copies the vote outvoted per data bit: the minority count (odd
+        # copies never tie).  Two different units, kept apart:
+        # ``overruled`` counts every such copy (the paper's per-copy
+        # disagreement accounting), ``corrections`` counts data bits that
+        # needed repair at all — the unit Hamming's per-block corrections
+        # use, so the pipeline's ``*.corrections`` total is coherent.
+        minority = np.minimum(ones, self.copies - ones)
+        counts = [
+            ("ecc.repetition.overruled", minority.sum(axis=1)),
+            ("ecc.repetition.corrections", (minority > 0).sum(axis=1)),
+            ("ecc.repetition.bits", [voted.shape[1]] * n_rows),
+        ]
+        return voted, counts

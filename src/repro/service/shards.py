@@ -37,7 +37,7 @@ from .. import metrics, telemetry
 from ..telemetry import context as trace_ctx
 from ..api import receive_result, send_result
 from ..core.fleetcapture import capture_fleet
-from ..core.pipeline import InvisibleBits
+from ..core.pipeline import InvisibleBits, decode_states
 from ..errors import (
     CodecError,
     ConfigurationError,
@@ -645,6 +645,28 @@ class Shard:
                 resilient=True,
             )
         capture_s = time.perf_counter() - t_capture
+        # One stacked decode for every captured slot; each job then replays
+        # its own decode spans inside its own trace below.
+        t_decode = time.perf_counter()
+        captured = [
+            pos for pos in range(len(staged)) if fleet.slot_errors[pos] is None
+        ]
+        finishers = dict(
+            zip(
+                captured,
+                decode_states(
+                    [staged[pos][1] for pos in captured],
+                    [fleet.states[pos] for pos in captured],
+                    message_lens=[
+                        staged[pos][0].request.message_len for pos in captured
+                    ],
+                    raw_errors=[fleet.errors[pos] for pos in captured],
+                    recovered=[fleet.recovered[pos] for pos in captured],
+                    n_captures=fleet.n_captures,
+                ),
+            )
+        )
+        decode_s = time.perf_counter() - t_decode
         for pos, (job, channel, payload) in enumerate(staged):
             request = job.request
             retries += max(fleet.attempts[pos] - 1, 0)
@@ -663,7 +685,7 @@ class Shard:
                 )
                 continue
             raw_bers.append(fleet.errors[pos])
-            t_decode = time.perf_counter()
+            t_finish = time.perf_counter()
             try:
                 with _job_trace(job), telemetry.trace(
                     "lane.execute",
@@ -672,12 +694,7 @@ class Shard:
                     device_id=request.device_id,
                 ):
                     try:
-                        decode = channel.decode_state(
-                            fleet.states[pos],
-                            message_len=request.message_len,
-                            expected_payload=payload,
-                            n_captures=fleet.n_captures,
-                        )
+                        decode = finishers[pos]()
                     except (CodecError, ExtractionError):
                         # The kernel's vote was undecodable; fall back to
                         # the full adaptive receive (suspect filtering +
@@ -697,9 +714,11 @@ class Shard:
                 continue
             finally:
                 if job.phases is not None:
+                    # The shared stacked decode plus this job's own share.
                     job.phases["decode"] = (
                         job.phases.get("decode", 0.0)
-                        + (time.perf_counter() - t_decode)
+                        + decode_s
+                        + (time.perf_counter() - t_finish)
                     )
             outcomes[id(job)] = receive_result(
                 request.device_id, decode, shard=self.name

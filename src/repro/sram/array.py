@@ -35,7 +35,13 @@ array or control-board burst, a whole tray from
    stream per-capture draws would consume.
 3. **Decide** (:func:`stacked_band_decisions`): the one kernel turning
    cached terms, sigma, relax trajectory and noise into bits, for any
-   number of arrays in one call.
+   number of arrays in one call.  Segments sharing a capture count and
+   NBTI recovery constants are concatenated into chunks of up to
+   :data:`KERNEL_CHUNK_CELLS` band cells and evaluated one row per capture
+   index across the whole chunk, so a tray of small noise bands costs a
+   few numpy calls, not a few per slot; a larger segment is its own chunk,
+   read straight from its cache.  The recovery ``log1p`` runs once per
+   distinct relax clock, memoised on a cache from its second burst.
 
 The one cache builder also serves :meth:`SRAMArray.offsets`.  Shelf gaps
 are deferred as one scalar (:meth:`NBTIState.flush_relax`), and a drift
@@ -144,32 +150,114 @@ class _Segment(NamedTuple):
     pend0: list
 
 
-def _recovered_rows(seg: _Segment, pends: list, r_key: str):
-    """Yield each capture's band recovered fractions, one row at a time
-    (band-sized temporaries stay in cache; a whole burst's would not).
+#: Band cells per kernel chunk.  Segments sharing a capture count and the
+#: NBTI recovery constants are concatenated up to this many cells and
+#: evaluated one row per capture index across the chunk: a tray of small
+#: noise bands costs a handful of numpy calls instead of a handful per
+#: slot, while each row's temporaries (a few 128 KiB doubles) stay in
+#: cache.  A segment larger than the budget is a chunk of its own and is
+#: read straight from its cache.
+KERNEL_CHUNK_CELLS = 1 << 14
+
+
+def _kernel_chunks(segments: "list[_Segment]") -> "list[list[int]]":
+    """Segment indices grouped into kernel chunks (see
+    :data:`KERNEL_CHUNK_CELLS`).  Every array has its own NBTI model, so
+    recovery constants are compared by value."""
+    groups: "dict[tuple, list[int]]" = {}
+    for index, seg in enumerate(segments):
+        nbti = seg.nbti
+        key = (len(seg.pend1), nbti.rec_tau_s, nbti.rec_log_coeff, nbti.rec_ceiling)
+        groups.setdefault(key, []).append(index)
+    chunks = []
+    for members in groups.values():
+        chunk: "list[int]" = []
+        cells = 0
+        for index in members:
+            size = segments[index].cache["band"].size
+            if chunk and cells + size > KERNEL_CHUNK_CELLS:
+                chunks.append(chunk)
+                chunk, cells = [], 0
+            chunk.append(index)
+            cells += size
+        chunks.append(chunk)
+    return chunks
+
+
+def _joined(arrays: "list[np.ndarray]", axis: int = 0) -> np.ndarray:
+    """One segment's array as is; several concatenated."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _relax_values(cache: dict, r_key: str) -> "tuple[np.ndarray, np.ndarray]":
+    """``(values, index)`` with ``values[index]`` equal to the band's relax
+    clocks ``cache[r_key]``.
 
     Relax clocks take few distinct values (a shared stress period leaves
-    two), so ``log1p`` runs once per *unique* value, memoised on the cache,
-    and rows are assembled by selection — the same doubles elementwise
+    two), so from a cache's second burst on ``values`` are the distinct
+    clocks — ``np.unique``, memoised on the cache — and ``log1p`` runs
+    once per value.  A cache's first burst uses the clocks as they are:
+    a one-shot cache (a device read once) never pays for the sort.
+    """
+    key = r_key + "_unique"
+    if key not in cache:  # first burst
+        cache[key] = None
+        return cache[r_key], np.arange(cache[r_key].size)
+    if cache[key] is None:  # second burst
+        cache[key] = np.unique(cache[r_key], return_inverse=True)
+    return cache[key]
+
+
+def _unrecovered_table(segs: "list[_Segment]", pend_key: str, r_key: str):
+    """The chunk's unrecovered shares ``1 - min(c * log1p(r / tau),
+    ceiling)`` as ``(table, index)``: row ``i`` of ``table[:, index]`` is
+    capture ``i``'s value for every band cell, evaluated per distinct
+    relax clock (:func:`_relax_values`) — the same doubles elementwise
     evaluation gives.
     """
-    cache, nbti = seg.cache, seg.nbti
-    r = cache[r_key]
-    tau, coeff, ceiling = nbti.rec_tau_s, nbti.rec_log_coeff, nbti.rec_ceiling
-    u = cache.get(r_key + "_u")
-    if u is None:
-        u, inverse = np.unique(r, return_inverse=True)
-        cache[r_key + "_u"] = u
-        cache[r_key + "_inv"] = inverse
-    if u.size <= max(64, r.size // 8):
-        vals = np.minimum(
-            coeff * np.log1p((u[None, :] + np.array(pends)[:, None]) / tau), ceiling
-        )
-        for row in vals:
-            yield row[cache[r_key + "_inv"]]
+    nbti = segs[0].nbti
+    memos = [_relax_values(seg.cache, r_key) for seg in segs]
+    pends = np.array([getattr(seg, pend_key) for seg in segs]).T
+    if len(segs) == 1:
+        u, index = memos[0]
     else:
-        for p in pends:
-            yield np.minimum(coeff * np.log1p((r + p) / tau), ceiling)
+        sizes = [u.size for u, _ in memos]
+        u = np.concatenate([u for u, _ in memos])
+        starts = np.cumsum([0] + sizes[:-1])
+        index = np.concatenate([inv + start for (_, inv), start in zip(memos, starts)])
+        pends = np.repeat(pends, sizes, axis=1)
+    recovered = np.minimum(
+        nbti.rec_log_coeff * np.log1p((u[None, :] + pends) / nbti.rec_tau_s),
+        nbti.rec_ceiling,
+    )
+    return 1.0 - recovered, index
+
+
+def _chunk_decisions(
+    segs: "list[_Segment]", blocks: "list[np.ndarray]"
+) -> "list[np.ndarray]":
+    """Decide one chunk: one row per capture index across all its cells."""
+    caches = [seg.cache for seg in segs]
+    sizes = [cache["band"].size for cache in caches]
+    mismatch = _joined([cache["mismatch_b"] for cache in caches])
+    full0 = _joined([cache["full0_b"] for cache in caches])
+    full1 = _joined([cache["full1_b"] for cache in caches])
+    sigma = (
+        segs[0].sigma
+        if len(segs) == 1
+        else np.repeat([seg.sigma for seg in segs], sizes)
+    )
+    noise = sigma * _joined(blocks, axis=1)
+    keep1, index1 = _unrecovered_table(segs, "pend1", "r1_b")
+    keep0, index0 = _unrecovered_table(segs, "pend0", "r0_b")
+    out = np.empty(noise.shape, dtype=bool)
+    for row0, row1, z, dec in zip(keep0, keep1, noise, out):
+        offs = mismatch + full0 * row0[index0] - full1 * row1[index1]
+        np.greater(offs + z, 0.0, out=dec)
+    if len(segs) == 1:
+        return [out]
+    bounds = np.cumsum([0] + sizes)
+    return [out[:, a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def stacked_band_decisions(
@@ -177,31 +265,23 @@ def stacked_band_decisions(
 ) -> "list[np.ndarray]":
     """The capture kernel: noise-band power-on decisions for every segment.
 
-    ``noise[i]`` is segment ``i``'s ``(captures, band)`` block.  Each
-    band cell's offset is re-evaluated at that capture's relax time with
-    the same operation tree :meth:`SRAMArray.offsets` uses, and the cell
-    powers on to 1 when ``offset + sigma * noise > 0``.  Segments of any
-    number of arrays evaluate in one call; this is the only code in the
-    package that turns analog state into power-on bits.
+    ``noise[i]`` is segment ``i``'s ``(captures, band)`` block and the
+    result's ``i``-th entry is its contiguous ``(captures, band)`` decision
+    block.  Each band cell's offset is re-evaluated at that capture's
+    relax time with the same operation tree :meth:`SRAMArray.offsets`
+    uses, and the cell powers on to 1 when ``offset + sigma * noise > 0``.
+    Segments are concatenated into chunks (:data:`KERNEL_CHUNK_CELLS`) and
+    each chunk is evaluated one row per capture index, so segments of any
+    number of arrays evaluate in a few numpy calls; this is the only code
+    in the package that turns analog state into power-on bits.
     """
-    decisions = []
-    for seg, block in zip(segments, noise):
-        cache = seg.cache
-        out = np.empty(block.shape, dtype=bool)
-        rows = zip(
-            _recovered_rows(seg, seg.pend1, "r1_b"),
-            _recovered_rows(seg, seg.pend0, "r0_b"),
-            block,
-            out,
+    decisions: "list[np.ndarray | None]" = [None] * len(segments)
+    for chunk in _kernel_chunks(segments):
+        blocks = _chunk_decisions(
+            [segments[i] for i in chunk], [noise[i] for i in chunk]
         )
-        for rec1, rec0, z, dec in rows:
-            offs = (
-                cache["mismatch_b"]
-                + cache["full0_b"] * (1.0 - rec0)
-                - cache["full1_b"] * (1.0 - rec1)
-            )
-            np.greater(offs + seg.sigma * z, 0.0, out=dec)
-        decisions.append(out)
+        for i, block in zip(chunk, blocks):
+            decisions[i] = block
     return decisions
 
 

@@ -249,20 +249,25 @@ def capture_batch_vs_loop(seed, n_captures, kib, stress_h):
 def _fleet_rig(
     seed: int,
     n_devices: int,
-    kib: float,
+    kib: "tuple[float, ...]",
     stress_h: float,
     remanent_slot: "int | None" = None,
+    split_slot: "int | None" = None,
 ):
     """A staged-and-stressed tray, twin-safe: same seed -> same tray.
 
-    ``remanent_slot`` (taken modulo the tray size) is left powered off
-    without draining, with remanence still pending for its next power-up.
+    Slot ``i`` holds ``kib[i % len(kib)]`` KiB.  ``remanent_slot`` (taken
+    modulo the tray size) is left powered off without draining, with
+    remanence still pending for its next power-up.  ``split_slot`` (modulo
+    the tray size, unless it is the remanent slot) is shelved to just
+    short of its capture cache's drift bound, so its next burst refreshes
+    the cache between the first and second capture.
     """
     from ..device.catalog import make_device
     from ..harness.rack import EncodingRack
 
     devices = [
-        make_device(_DEVICE, rng=seed + index, sram_kib=kib)
+        make_device(_DEVICE, rng=seed + index, sram_kib=kib[index % len(kib)])
         for index in range(n_devices)
     ]
     rack = EncodingRack(devices, max_workers=1)
@@ -274,39 +279,86 @@ def _fleet_rig(
     rack.stage_payloads(payloads)
     rack.stress_all(stress_hours=stress_h)
     if remanent_slot is not None:
-        board = rack.boards[remanent_slot % n_devices]
+        remanent_slot %= n_devices
+        board = rack.boards[remanent_slot]
         board.power_on_nominal()
         board.power_off(drain=False)
         board.device.advance(0.05)
+    if split_slot is not None and split_slot % n_devices != remanent_slot:
+        board = rack.boards[split_slot % n_devices]
+        if board.device.powered:
+            board.power_off()
+        board.device.advance(_refresh_edge(board.device.sram) - 0.5)
     return rack, payloads
+
+
+def _refresh_edge(sram) -> float:
+    """Shelf seconds after which ``sram``'s freshly rebuilt capture cache
+    stops passing the drift bound (bisected on the array's own check)."""
+    sigma = sram._effective_noise_sigma()
+    cache = sram._refresh_capture_cache(sigma)
+    states = (sram.age_when_1, sram.age_when_0)
+
+    def valid(seconds: float) -> bool:
+        saved = [st.pending_relax for st in states]
+        for st in states:
+            st.pending_relax += seconds
+        try:
+            return sram._capture_cache_valid(cache, sigma)
+        finally:
+            for st, value in zip(states, saved):
+                st.pending_relax = value
+
+    lo, hi = 0.0, 1.0
+    while valid(hi):
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+    return lo
 
 
 @oracle(
     "fleet.capture_vs_device_loop",
     gens=(
         g.seeds(),
-        g.sampled_from([1, 2, 3], name="n_devices"),
+        g.sampled_from([1, 2, 3, 5, 8], name="n_devices"),
         g.odd_integers(1, 5, name="n_captures"),
-        g.sampled_from([0.25, 0.5], name="kib"),
+        g.sampled_from([(0.25,), (0.5,), (0.25, 0.5, 1.0)], name="kib"),
         g.sampled_from([None, 0, 1], name="remanent_slot"),
+        g.sampled_from([None, 2], name="split_slot"),
+        g.sampled_from([None, 64], name="chunk_cells"),
     ),
-    examples=4,
+    examples=6,
 )
-def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib, remanent_slot):
+def fleet_capture_vs_device_loop(
+    seed, n_devices, n_captures, kib, remanent_slot, split_slot, chunk_cells
+):
     """The fleet capture is bit-identical to the scalar reference measuring
     a twin tray board by board: frames, majority states, channel errors,
-    AND the analog trajectory (pending relax, flush counts) — including a
-    slot with remanence pending, which the board's loop sequences."""
+    AND the analog trajectory (pending relax, flush counts) — including
+    mixed array sizes, a slot with remanence pending (which the board's
+    loop sequences), a slot whose burst spans a cache refresh, and a
+    kernel chunk budget small enough to split every tray (``chunk_cells``
+    stands in for :data:`repro.sram.array.KERNEL_CHUNK_CELLS`)."""
     from ..bitutils import bit_error_rate, invert_bits, majority_vote
     from ..core.fleetcapture import capture_fleet
+    from ..sram import array as engine
     from .reference import ReferenceSampler
 
-    rack_a, payloads = _fleet_rig(seed, n_devices, kib, 2.0, remanent_slot)
-    rack_b, _ = _fleet_rig(seed, n_devices, kib, 2.0, remanent_slot)
+    rig = (seed, n_devices, kib, 2.0, remanent_slot, split_slot)
+    rack_a, payloads = _fleet_rig(*rig)
+    rack_b, _ = _fleet_rig(*rig)
 
-    fleet = capture_fleet(
-        rack_a.boards, n_captures, payloads=payloads, return_frames=True
-    )
+    budget = engine.KERNEL_CHUNK_CELLS
+    if chunk_cells is not None:
+        engine.KERNEL_CHUNK_CELLS = chunk_cells
+    try:
+        fleet = capture_fleet(
+            rack_a.boards, n_captures, payloads=payloads, return_frames=True
+        )
+    finally:
+        engine.KERNEL_CHUNK_CELLS = budget
     # Boards carrying a fault injector (e.g. the CI chaos sweep's ambient
     # REPRO_FAULT_PLAN) or pending remanence must opt out of the engine's
     # tray call; every other board must take it.  Bit-identity below
@@ -783,6 +835,134 @@ def ecc_soft_repetition(seed, copies, layout, bits):
     )
 
 
+# -- decode contracts --------------------------------------------------------
+
+
+def _decode_group(code_name: str, seed: int, framed: bool, keyed: bool, rows: int):
+    """A receive group's voted states for ``code_name``: mixed message
+    lengths, bit errors at a rate that cycles clean/noisy row by row, and
+    one row whose header is corrupted (framed) or whose pre-shared length
+    is missing (raw).  Returns ``(channels, states, message_lens,
+    payloads)``; twin-safe, same arguments -> same group."""
+    from ..bitutils import invert_bits
+    from ..core.message import FrameFormat, max_message_bytes
+    from ..core.pipeline import InvisibleBits
+    from ..core.scheme import CodingScheme
+    from ..device.catalog import make_device
+    from ..harness.controlboard import ControlBoard
+
+    rng = np.random.default_rng(seed)
+    code = _code_catalog()[code_name]()
+    scheme = CodingScheme(
+        key=_KEY16 if keyed else None,
+        ecc=code,
+        frame=FrameFormat(framed=framed),
+        n_captures=3,
+    )
+    channels = [
+        InvisibleBits(
+            ControlBoard(make_device(_DEVICE, rng=seed + i, sram_kib=0.25)),
+            scheme=scheme,
+            use_firmware=False,
+        )
+        for i in range(rows)
+    ]
+    n_bits = channels[0].board.device.sram.n_bits
+    top = min(24, max_message_bytes(n_bits, ecc=code, frame=scheme.frame))
+    pool = [int(v) for v in rng.integers(0, top + 1, 3)]
+    rates = (0.0, 0.01, 0.002, 0.03)
+    bad = int(rng.integers(0, rows))
+    states, lens, payloads = [], [], []
+    for i, channel in enumerate(channels):
+        length = pool[int(rng.integers(0, len(pool)))]
+        message = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        payload = channel.prepare_payload(message)
+        sent = payload
+        if framed and i == bad:
+            cipher = channel._cipher()
+            plain = payload.copy() if cipher is None else cipher.process_bits(payload)
+            plain[: scheme.frame.header_bits] = 1  # claims 2**32 - 1 bytes
+            sent = plain if cipher is None else cipher.process_bits(plain)
+        flips = rng.random(n_bits) < rates[i % len(rates)]
+        states.append(invert_bits(sent) ^ flips.astype(np.uint8))
+        lens.append(None if not framed and i == bad else length)
+        payloads.append(payload)
+    return channels, states, lens, payloads
+
+
+@oracle(
+    "decode.group_vs_rows",
+    gens=(
+        g.seeds(),
+        g.sampled_from([True, False], name="framed"),
+        g.sampled_from([False, True], name="keyed"),
+        g.integers(1, 16, name="rows"),
+    ),
+    examples=4,
+)
+def decode_group_vs_rows(seed, framed, keyed, rows):
+    """A stacked group decode equals the per-message reference decoder row
+    for row, for every code: message or exception, ECC corrections, raw
+    channel error and the ecc.* span counters."""
+    for code_name in _code_catalog():
+        _check_group_decode(code_name, seed, framed, keyed, rows)
+
+
+def _check_group_decode(code_name, seed, framed, keyed, rows):
+    from .. import telemetry
+    from ..core.pipeline import decode_states
+    from ..errors import CodecError, ExtractionError
+    from .reference import reference_decode_state
+
+    channels, states, lens, payloads = _decode_group(
+        code_name, seed, framed, keyed, rows
+    )
+    finishers = decode_states(
+        channels, states, message_lens=lens, expected_payloads=payloads
+    )
+    for i, finish in enumerate(finishers):
+        want = reference_decode_state(
+            channels[i], states[i], message_len=lens[i], expected_payload=payloads[i]
+        )
+        with telemetry.trace("verify.group_row", force=True) as span:
+            try:
+                got = finish()
+            except (CodecError, ExtractionError) as exc:
+                got = exc
+        counters = {
+            name: value
+            for name, value in span.counters.items()
+            if name.startswith("ecc.")
+        }
+        where = f"{code_name} row {i} of {rows}"
+        if isinstance(want["message"], Exception):
+            check_that(
+                isinstance(got, Exception)
+                and (type(got), str(got))
+                == (type(want["message"]), str(want["message"])),
+                f"{where}: expected {want['message']!r}, got {got!r}",
+            )
+        else:
+            check_that(
+                not isinstance(got, Exception) and got.message == want["message"],
+                f"{where}: message {got!r} != reference {want['message']!r}",
+            )
+            check_that(
+                got.ecc_corrections == want["ecc_corrections"],
+                f"{where}: {got.ecc_corrections} corrections != reference "
+                f"{want['ecc_corrections']}",
+            )
+            check_that(
+                got.raw_error_vs == want["raw_error_vs"],
+                f"{where}: raw error {got.raw_error_vs} != reference "
+                f"{want['raw_error_vs']}",
+            )
+        check_that(
+            counters == want["counters"],
+            f"{where}: counters {counters} != reference {want['counters']}",
+        )
+
+
 # -- crypto contracts --------------------------------------------------------
 
 
@@ -1170,13 +1350,15 @@ def _mutant_kernel_decision_flip(rng):
         decisions = pristine(segments, noise)
         block = next((d for d in decisions if d.size), None)
         check_that(block is not None, "mutant needs a non-empty noise band")
-        block.reshape(-1)[int(rng.integers(0, block.size))] ^= True
+        # In place whatever the block's memory layout: ``reshape(-1)`` of
+        # a non-contiguous block is a copy, and the flip would be lost.
+        block[np.unravel_index(int(rng.integers(0, block.size)), block.shape)] ^= True
         return decisions
 
     try:
         seed = int(rng.integers(0, 2**31))
-        rack_a, payloads = _fleet_rig(seed, 2, 0.25, 2.0)
-        rack_b, _ = _fleet_rig(seed, 2, 0.25, 2.0)
+        rack_a, payloads = _fleet_rig(seed, 2, (0.25,), 2.0)
+        rack_b, _ = _fleet_rig(seed, 2, (0.25,), 2.0)
         engine.stacked_band_decisions = skewed
         fleet = fleetcapture.capture_fleet(
             rack_a.boards, 3, payloads=payloads, return_frames=True
@@ -1191,6 +1373,30 @@ def _mutant_kernel_decision_flip(rng):
             np.array_equal(fleet.frames[index], stack),
             f"kernel decision flip detected on slot {index}",
         )
+
+
+@mutant("decode.group_vs_rows", "corrections-credited-to-neighbour")
+def _mutant_corrections_to_neighbour(rng):
+    """A stacked Hamming decode that credits each row's corrections to
+    the next row must break per-row equality with the reference."""
+    from ..ecc.hamming import HammingCode
+
+    pristine = HammingCode.decode_rows
+
+    def shifted(self, rows):
+        bits, counts = pristine(self, rows)
+        return bits, [
+            (name, np.roll(values, 1) if name.endswith(".corrections") else values)
+            for name, values in counts
+        ]
+
+    HammingCode.decode_rows = shifted
+    try:
+        _check_group_decode(
+            "hamming74", int(rng.integers(0, 2**31)), False, False, 8
+        )
+    finally:
+        HammingCode.decode_rows = pristine
 
 
 @mutant("service.crash_recovery", "journal-byte-corruption")

@@ -1,6 +1,6 @@
-"""The scalar per-capture reference for the capture engine.
+"""Plain one-at-a-time references for the stacked engines.
 
-The plain loop :mod:`repro.sram.array`'s stacked kernel must equal bit for
+**Capture.**  The plain loop :mod:`repro.sram.array`'s stacked kernel must equal bit for
 bit: one capture at a time, band offsets recomputed through
 :meth:`repro.physics.nbti.NBTIModel.dvth` on a slice of the aging state,
 noise drawn per capture.  It shares only the model's policy with the
@@ -9,15 +9,26 @@ refreshes the cache — because that policy fixes how much noise each
 capture draws.  :class:`ReferenceSampler` replays ``apply_power``, a
 ``power_cycle`` loop and the control board's capture loop; the
 ``capture.*``/``fleet.*`` oracles and tests/sram compare against it.
+
+**Decode.**  :func:`reference_decode_state` is the per-message hard
+decode :func:`repro.core.pipeline.decode_states` must equal row for row:
+invert, decrypt, then the frame header and the ECC body decoded through
+:meth:`Code.decode` on that one message, with the ``ecc.*`` counters read
+back from a collecting span.  The ``decode.group_vs_rows`` oracle compares
+against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import telemetry
+from ..bitutils import bit_error_rate, bits_to_bytes, invert_bits
+from ..ecc.base import IdentityCode
+from ..errors import ExtractionError
 from ..physics.nbti import NBTIState
 
-__all__ = ["ReferenceSampler", "reference_capture_cache"]
+__all__ = ["ReferenceSampler", "reference_capture_cache", "reference_decode_state"]
 
 
 def reference_capture_cache(array, sigma: float) -> dict:
@@ -142,3 +153,68 @@ class ReferenceSampler:
             self.array.remove_power(drain=True)
             self.array.shelve(off_seconds)
         return np.stack(frames)
+
+
+def _reference_extract(bits: np.ndarray, code, frame, message_len) -> bytes:
+    """One message's frame header and ECC body, decoded on their own."""
+    code = code or IdentityCode()
+    if frame.framed:
+        if bits.size < frame.header_bits:
+            raise ExtractionError("payload shorter than the frame header")
+        raw = frame._header_code().decode(bits[: frame.header_bits])
+        length = int.from_bytes(bits_to_bytes(raw), "big")
+        body = bits[frame.header_bits :]
+    else:
+        if message_len is None:
+            raise ExtractionError("raw mode needs the pre-shared message length")
+        length = message_len
+        body = bits
+    coded_bits = -(-length * 8 // code.k) * code.n
+    if coded_bits > body.size:
+        raise ExtractionError(
+            f"header claims {length} bytes but only {body.size} coded bits "
+            "are present — header corrupted beyond repair?"
+        )
+    if not length:
+        return b""
+    return bits_to_bytes(code.decode(body[:coded_bits])[: length * 8])
+
+
+def reference_decode_state(
+    channel,
+    state: np.ndarray,
+    *,
+    message_len: "int | None" = None,
+    expected_payload: "np.ndarray | None" = None,
+) -> dict:
+    """Hard-decode one voted state of ``channel`` (an ``InvisibleBits``).
+
+    Returns ``message`` (the bytes, or the ``ExtractionError`` raised),
+    ``ecc_corrections``, ``raw_error_vs`` and ``counters`` (the ``ecc.*``
+    counters the decode emitted).
+    """
+    recovered = invert_bits(state)
+    cipher = channel.scheme.cipher(channel.board.device.device_id)
+    plain = cipher.process_bits(recovered) if cipher is not None else recovered
+    with telemetry.trace("verify.reference_decode", force=True) as span:
+        try:
+            message = _reference_extract(
+                plain, channel.ecc, channel.frame, message_len
+            )
+        except ExtractionError as exc:
+            message = exc
+    counters = {
+        name: value for name, value in span.counters.items() if name.startswith("ecc.")
+    }
+    return {
+        "message": message,
+        "ecc_corrections": int(
+            sum(v for name, v in counters.items() if name.endswith(".corrections"))
+        ),
+        "raw_error_vs": (
+            None
+            if expected_payload is None
+            else bit_error_rate(expected_payload, recovered)
+        ),
+        "counters": counters,
+    }

@@ -7,6 +7,7 @@ from repro.core.message import (
     FrameFormat,
     build_payload,
     extract_message,
+    extract_messages,
     max_message_bytes,
 )
 from repro.ecc import RepetitionCode, hamming_7_4
@@ -115,3 +116,53 @@ class TestHeader:
         payload[: FrameFormat().header_bits] = 1
         with pytest.raises(ExtractionError):
             extract_message(payload)
+
+
+class TestRowWiseExtraction:
+    def test_mixed_lengths_and_a_bad_header_fail_only_that_row(self):
+        code = paper_end_to_end_code(3)
+        messages = [b"one", b"", b"three!", b"one", b"seventeen bytes.."]
+        payloads = [build_payload(m, SRAM_BITS, ecc=code) for m in messages]
+        payloads[2] = payloads[2].copy()
+        payloads[2][: FrameFormat().header_bits] = 1  # claims 2**32 - 1 bytes
+        out, counts = extract_messages(payloads, ecc=code)
+        assert isinstance(out[2], ExtractionError)
+        assert "header claims 4294967295 bytes" in str(out[2])
+        for i in (0, 1, 3, 4):
+            assert out[i] == messages[i]
+            assert out[i] == extract_message(payloads[i], ecc=code)
+        # Header counters for every framed row; body counters only for
+        # rows with a body that decoded.
+        assert [name for name, _ in counts[2]] == [
+            "ecc.repetition.overruled",
+            "ecc.repetition.corrections",
+            "ecc.repetition.bits",
+        ]
+        assert len(counts[0]) == 3 + 5 and len(counts[1]) == 3
+
+    def test_raw_rows_need_a_non_negative_length(self):
+        frame = FrameFormat(framed=False)
+        payload = build_payload(b"rawdata!", SRAM_BITS, frame=frame)
+        out, _ = extract_messages(
+            [payload, payload, payload], frame=frame, message_lens=[8, None, -1]
+        )
+        assert out[0] == b"rawdata!"
+        assert "pre-shared message length" in str(out[1])
+        assert "negative message length" in str(out[2])
+        with pytest.raises(ExtractionError, match="negative"):
+            extract_message(payload, frame=frame, message_len=-1)
+
+    def test_short_payload_fails_its_row(self):
+        ok = build_payload(b"hi", SRAM_BITS)
+        out, counts = extract_messages([ok, ok[:100]])
+        assert out[0] == b"hi"
+        assert "shorter than the frame header" in str(out[1])
+        assert counts[1] == []
+
+    def test_decode_headers_matches_decode_header(self):
+        frame = FrameFormat()
+        lengths = [0, 1, 123456, 2**32 - 1]
+        rows = np.stack([frame.encode_header(n) for n in lengths])
+        decoded, _ = frame.decode_headers(rows)
+        assert decoded == lengths
+        assert [frame.decode_header(row) for row in rows] == lengths

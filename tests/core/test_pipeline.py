@@ -96,3 +96,101 @@ class TestConfiguration:
         channel.send(b"unframed")
         result = channel.receive(message_len=8)
         assert result.message == b"unframed"
+
+
+class TestDecodeStates:
+    """``decode_states`` decodes a group in one stacked pass, yet each
+    state's finisher records and returns what ``decode_state`` does."""
+
+    @staticmethod
+    def _group():
+        from repro.core import CodingScheme
+        from repro.core.fleetcapture import capture_fleet
+
+        scheme = CodingScheme(key=KEY, ecc=paper_end_to_end_code(3), n_captures=3)
+        channels = []
+        payloads = []
+        for i, message in enumerate([b"alpha", b"be", b"alpha", b"gamma ray"]):
+            device = make_device("MSP432P401", rng=50 + i, sram_kib=0.5)
+            channel = InvisibleBits(
+                ControlBoard(device), scheme=scheme, use_firmware=False
+            )
+            payloads.append(channel.send(message, camouflage=False).payload_bits)
+            channels.append(channel)
+        fleet = capture_fleet([c.board for c in channels], 3, payloads=payloads)
+        states = list(fleet.states)
+        # Smash one row's header: that row alone must fail.
+        states[1] = states[1].copy()
+        states[1][:300] ^= 1
+        return channels, states, payloads, fleet
+
+    @staticmethod
+    def _records(sink):
+        keep = ("channel.decode_state", "channel.decrypt", "channel.ecc_decode")
+        return [
+            (r["type"], r["name"], r.get("attrs"), r.get("counters"),
+             r.get("status"), r.get("value"))
+            for r in sink.records()
+            if r["type"] == "counter" or r["name"] in keep
+        ]
+
+    def _run(self, decode_one):
+        from repro import telemetry
+        from repro.errors import ExtractionError
+        from repro.telemetry.sinks import RingBufferSink
+
+        sink = RingBufferSink()
+        telemetry.add_sink(sink)
+        try:
+            results = []
+            for i, finish in enumerate(decode_one()):
+                with telemetry.trace("test.job", job=i):
+                    try:
+                        results.append(finish())
+                    except ExtractionError as exc:
+                        results.append(str(exc))
+        finally:
+            telemetry.remove_sink(sink)
+        return results, self._records(sink)
+
+    def test_group_records_and_results_match_one_state_decodes(self):
+        from repro.core.pipeline import decode_states
+
+        channels, states, payloads, _ = self._group()
+        lens = [None] * len(states)
+
+        def one_by_one():
+            return [
+                lambda c=c, s=s, p=p: c.decode_state(s, expected_payload=p)
+                for c, s, p in zip(channels, states, payloads)
+            ]
+
+        def grouped():
+            return decode_states(
+                channels, states, message_lens=lens, expected_payloads=payloads
+            )
+
+        want, want_records = self._run(one_by_one)
+        got, got_records = self._run(grouped)
+        assert got_records == want_records
+        assert "header claims" in got[1]
+        for a, b in zip(got, want):
+            if isinstance(a, str):
+                assert a == b
+                continue
+            assert a.message == b.message
+            assert a.ecc_corrections == b.ecc_corrections
+            assert a.raw_error_vs == b.raw_error_vs
+            assert np.array_equal(a.recovered_payload, b.recovered_payload)
+        assert [r.message for r in got if not isinstance(r, str)] == [
+            b"alpha", b"alpha", b"gamma ray"
+        ]
+
+    def test_raw_errors_are_taken_as_given(self):
+        from repro.core.pipeline import decode_states
+
+        channels, states, payloads, fleet = self._group()
+        finishers = decode_states(
+            channels[:1], states[:1], raw_errors=fleet.errors[:1]
+        )
+        assert finishers[0]().raw_error_vs == fleet.errors[0]

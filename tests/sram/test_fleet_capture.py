@@ -131,3 +131,33 @@ def test_plan_splits_burst_exceeding_drift_budget():
         twin.shelve(giant_gap)
     assert np.array_equal(burst.frames(), np.stack(expected))
     assert arr.age_when_1.flushes == twin.age_when_1.flushes
+
+
+def test_chunked_kernel_matches_each_slot_alone():
+    """Bursts whose combined noise band exceeds the kernel's chunk budget
+    (multi-slot chunks plus one slot larger than the budget) decide
+    bit-identically to running each burst on its own, and every slot
+    gets a contiguous decision block."""
+    from repro.sram.array import KERNEL_CHUNK_CELLS, _kernel_chunks, run_bursts
+
+    sizes = (1, 2, 4, 1, 2, 8)
+
+    def tray():
+        return [
+            _aged(10 + i, kib=kib, mixed_relax=i % 2 == 1)
+            for i, kib in enumerate(sizes)
+        ]
+
+    bursts = [arr.plan_fleet_capture(3) for arr in tray()]
+    segments = [seg for burst in bursts for seg in burst.segments]
+    bands = [seg.cache["band"].size for seg in segments]
+    assert sum(bands) > KERNEL_CHUNK_CELLS
+    assert max(bands) > KERNEL_CHUNK_CELLS
+    chunks = _kernel_chunks(segments)
+    assert len(chunks) > 2 and any(len(chunk) > 1 for chunk in chunks)
+    run_bursts(bursts)
+    for burst, twin in zip(bursts, tray()):
+        alone = twin.plan_fleet_capture(3)
+        run_bursts([alone])
+        assert np.array_equal(burst.frames(), alone.frames())
+        assert all(dec.flags.c_contiguous for dec in burst.decisions)

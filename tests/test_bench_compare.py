@@ -143,3 +143,43 @@ def test_current_git_sha_in_this_repo():
 
 def test_current_git_sha_outside_a_repo(tmp_path):
     assert bench.current_git_sha(cwd=tmp_path) is None
+
+
+class TestMachineMetadata:
+    def test_snapshot_records_the_machine(self):
+        import os
+        import platform
+
+        import numpy
+
+        machine = _snap({"a": 1.0})["machine"]
+        assert machine == {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        }
+
+    def test_same_machine_does_not_warn(self):
+        comparison = bench.compare_snapshots(_snap({"a": 1.0}), _snap({"a": 1.0}))
+        assert comparison.machine_diffs == ()
+        assert "warning" not in bench.render_comparison(comparison)
+
+    def test_different_machine_warns_but_never_gates(self):
+        old = _snap({"wall_x": 1.0})
+        new = _snap({"wall_x": 1.5})
+        new["machine"] = dict(old["machine"], cpu_count=64, numpy="9.9")
+        comparison = bench.compare_snapshots(old, new, gate_pct=100.0)
+        assert comparison.ok
+        assert comparison.machine_diffs == (
+            f"cpu_count: {old['machine']['cpu_count']} -> 64",
+            f"numpy: {old['machine']['numpy']} -> 9.9",
+        )
+        text = bench.render_comparison(comparison)
+        assert "warning: snapshots come from different machines" in text
+        assert text.splitlines()[-1].startswith("no regressions")
+
+    def test_snapshot_without_metadata_does_not_warn(self):
+        old = _snap({"a": 1.0})
+        del old["machine"]  # written before snapshots recorded it
+        comparison = bench.compare_snapshots(old, _snap({"a": 1.0}))
+        assert comparison.machine_diffs == ()
